@@ -6,7 +6,8 @@ Perron-Frobenius data exactly, classifies the letters' characteristic and
 position generating functions as rational (with an explicit certificate),
 transcendental (via aperiodicity), or inconclusive, realises fixed words as
 tilings of the half-line with exact quadratic-field endpoints, and certifies
-root-free intervals of the Fibonacci pair polynomials with Sturm chains.
+root-free intervals of the Fibonacci pair polynomials with Descartes' rule
+of signs.
 """
 
 from .errors import SubgfError

@@ -17,7 +17,7 @@ from .genfun import char_prefix_poly, char_series
 from .polynomials import ExactPolynomial
 from .realroots import (
     ExclusionCertificate,
-    SturmChain,
+    RootIsolator,
     certify_positive,
     isolate_max_root,
     nudge_off_root,
@@ -259,17 +259,17 @@ def positivity_bound(n: int, tolerance=Fraction(1, 10**8)) -> PositivityBound:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     polys = pair_polynomials(n)
-    chains = {label: SturmChain(p) for label, p in polys.by_label().items()}
+    isolators = {label: RootIsolator(p) for label, p in polys.by_label().items()}
     zero = Fraction(0)
     brackets: dict[str, tuple[Fraction, Fraction]] = {}
-    for label, chain in chains.items():
+    for label, roots in isolators.items():
         low = Fraction(-1)
-        if chain.sign_at(low) == 0:
+        if roots.sign_at(low) == 0:
             # a root exactly at -1 (the S blocks always have one) is outside
             # the open interval; step inside before counting
-            low = nudge_off_root(chain, low, zero)
-        if chain.count(low, zero) >= 1:
-            brackets[label] = isolate_max_root(chain, low, zero, tolerance)
+            low = nudge_off_root(roots, low, zero)
+        if roots.count(low, zero, 1):
+            brackets[label] = isolate_max_root(roots, low, zero, tolerance)
     if not brackets:
         raise NoRootInIntervalError(
             "no pair polynomial has a root in (-1, 0); the letter-a series "
@@ -288,11 +288,11 @@ def positivity_bound(n: int, tolerance=Fraction(1, 10**8)) -> PositivityBound:
         # distinct real roots: shrink until the maximum is unambiguous
         for lb in overlapping + [binding]:
             u, v = brackets[lb]
-            brackets[lb] = isolate_max_root(chains[lb], u - tolerance, v, (v - u) / 4)
+            brackets[lb] = isolate_max_root(isolators[lb], u - tolerance, v, (v - u) / 4)
     alpha_hat = brackets[binding][1]
     certificates = {
-        label: certify_positive(chain, alpha_hat, zero)
-        for label, chain in chains.items()
+        label: certify_positive(roots, alpha_hat, zero)
+        for label, roots in isolators.items()
     }
     return PositivityBound(
         level=n,

@@ -46,9 +46,6 @@ class QuadraticReal:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def conjugate(self) -> QuadraticReal:
-        return QuadraticReal(self.a, -self.b, self.d)
-
     def _match(self, other) -> "QuadraticReal | None":
         if isinstance(other, QuadraticReal):
             if other.b == 0:

@@ -1,20 +1,27 @@
 """Exact real-root counting, isolation, and positivity certificates.
 
-Sturm's theorem: for square-free p with chain p0 = p, p1 = p',
-p_{i+1} = -rem(p_{i-1}, p_i), the number of distinct real roots of p in
-(l, r] equals V(l) - V(r), where V(x) is the number of sign changes along
-the chain at x (zeros skipped) and p(l) != 0.
+Descartes' rule of signs: the number of sign variations in the coefficient
+sequence of a polynomial exceeds its number of positive roots, counted with
+multiplicity, by an even number.  The Moebius map x -> l + (r - l)/(1 + x)
+takes (0, oo) onto the open interval (l, r), so the variations V(p; l, r) of
+the integer polynomial (1 + x)^d p(l + (r - l)/(1 + x)) bound the number of
+roots of p in (l, r) with the same parity.  V = 0 is therefore a proof that
+(l, r) holds no root, and V = 1 that it holds exactly one (Collins & Akritas
+1976).  For a square-free p, halving an interval eventually leaves only
+counts of 0 and 1 (Vincent's theorem), so bisection turns the bound into an
+exact count.  Each count costs two Taylor shifts in exact integers.
 
-Chain members are computed as pseudo-remainders over the integers with
-content stripping, so each member is a positive rational multiple of the
-textbook chain member; all sign counts are identical.  Coefficients use
-gmpy2 integers when available, which matters for chains of degree ~750.
+The Sturm chain (`SturmChain`, `count_roots`) is kept as an independent
+reference for the Descartes counts.  Coefficients use gmpy2 integers when
+available.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 from .errors import (
     EndpointIsRootError,
@@ -33,6 +40,7 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
     _mpz = int
 
 _SHRINK = Fraction(1, 2**64)
+_PRIME = 2**31 - 1  # modulus of the square-freeness proof
 
 
 def _strip(cs: list) -> list:
@@ -233,23 +241,178 @@ def sturm_chain(p: ExactPolynomial) -> SturmChain:
     return SturmChain(p)
 
 
-def _as_chain(p) -> SturmChain:
-    return p if isinstance(p, SturmChain) else SturmChain(p)
-
-
 def count_roots(p, lower, upper) -> int:
-    """Number of distinct real roots in (lower, upper]."""
-    return _as_chain(p).count(lower, upper)
+    """Number of distinct real roots in (lower, upper], by Sturm's theorem."""
+    chain = p if isinstance(p, SturmChain) else SturmChain(p)
+    return chain.count(lower, upper)
 
 
-def nudge_off_root(chain: SturmChain, x, toward) -> Fraction:
-    """Move x toward `toward` in steps of 2**-64 of the gap until the
-    square-free part no longer vanishes; finitely many roots guarantee
-    termination."""
+
+# -- Descartes' rule of signs ------------------------------------------------
+
+
+def _coprime_mod(f: list, g: list, q: int) -> bool:
+    """Whether f and g reduced mod the prime q have a constant gcd."""
+    f = _strip([c % q for c in f])
+    g = _strip([c % q for c in g])
+    while len(g) > 1:
+        inv = pow(g[-1], -1, q)
+        g = [c * inv % q for c in g]
+        dg = len(g) - 1
+        while len(f) > dg:
+            top, k = f[-1], len(f) - 1 - dg
+            if top:
+                f[k:-1] = [(a - top * b) % q for a, b in zip(f[k:-1], g)]
+            f.pop()
+        f, g = g, _strip(f)
+    return bool(g)
+
+
+def _square_free(cs: list) -> list:
+    """Square-free part of a primitive integer polynomial, with the same
+    roots.  A constant gcd of p and p' modulo a prime not dividing
+    d * lc(p) proves p square-free, because a common factor over the
+    integers would survive the reduction with its degree; only when that
+    proof fails is the exact square-free part computed."""
+    d = len(cs) - 1
+    if d < 2:
+        return cs
+    derivative = [i * c for i, c in enumerate(cs)][1:]
+    if d * cs[-1] % _PRIME and _coprime_mod(cs, derivative, _PRIME):
+        return cs
+    part = ExactPolynomial([int(c) for c in cs]).square_free_part()
+    return _primitive([_mpz(c) for c in part.integer_coefficients()[0]])
+
+
+def _scaled(cs: list, num, den) -> list:
+    """Coefficients c_i * num**i * den**(d - i): den**d * p(num * x / den)."""
+    d = len(cs) - 1
+    out = list(cs)
+    if num != 1:
+        power = 1
+        for i in range(1, d + 1):
+            power *= num
+            out[i] *= power
+    if den & (den - 1) == 0:
+        k = den.bit_length() - 1
+        return [c << k * (d - i) for i, c in enumerate(out)] if k else out
+    power = 1
+    for i in range(d - 1, -1, -1):
+        power *= den
+        out[i] *= power
+    return out
+
+
+def _taylor_shift(cs: list, n: int) -> list:
+    """Coefficients of p(x + n): each pass is one synthetic division by
+    x - n, run as a prefix scan over the leading coefficients."""
+    if not n:
+        return cs
+    step = add if n == 1 else (lambda acc, c: acc * n + c)
+    high_first = cs[::-1]
+    for m in range(len(high_first), 1, -1):
+        high_first[:m] = accumulate(high_first[:m], step)
+    return high_first[::-1]
+
+
+def _descartes(cs: list, lower: Fraction, upper: Fraction) -> int:
+    """Sign variations of (1 + x)^d p(e + (f - e)/(1 + x)), where {e, f} =
+    {lower, upper} and the shift goes to the endpoint e with the smaller
+    denominator.  Built as integers: scale, shift by e, scale by f - e,
+    reverse, shift by 1.  The integer forms differ from the rational ones
+    by positive factors, which leave the variations alone."""
+    e, f = (upper, lower) if upper.denominator < lower.denominator else (lower, upper)
+    shifted = _taylor_shift(_scaled(cs, 1, e.denominator), e.numerator)
+    width = (f - e) * e.denominator
+    reversed_ = _scaled(shifted, width.numerator, width.denominator)[::-1]
+    signs = [c > 0 for c in _taylor_shift(reversed_, 1) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+class RootIsolator:
+    """The square-free part of a nonzero polynomial as primitive integers,
+    with cached exact signs, Descartes counts and root counts."""
+
+    def __init__(self, polynomial: ExactPolynomial, _part: list | None = None):
+        if polynomial.is_zero:
+            raise ZeroPolynomialError("cannot isolate the roots of 0")
+        self.polynomial = polynomial
+        if _part is None:
+            ints, _ = polynomial.integer_coefficients()
+            _part = _square_free(_primitive([_mpz(c) for c in ints]))
+        self._cs = _part
+        self._signs: dict[Fraction, int] = {}
+        self._variations: dict[tuple[Fraction, Fraction], int] = {}
+
+    def sign_at(self, x) -> int:
+        """Sign of the square-free part at a rational point."""
+        x = _frac(x)
+        sign = self._signs.get(x)
+        if sign is None:
+            num, e, dp = _point_data(x, len(self._cs) - 1)
+            sign = self._signs[x] = _sign_at(self._cs, num, e, dp)
+        return sign
+
+    def variations(self, lower, upper) -> int:
+        """Descartes' bound on the roots in the open interval."""
+        key = (_frac(lower), _frac(upper))
+        count = self._variations.get(key)
+        if count is None:
+            count = self._variations[key] = _descartes(self._cs, *key)
+        return count
+
+    def without_root(self, point) -> RootIsolator:
+        """The same polynomial with its root at `point`, if any, divided out
+        of the square-free part."""
+        point = _frac(point)
+        if self.sign_at(point):
+            return self
+        part = _deflate_root(self._cs, point.numerator, point.denominator)
+        return RootIsolator(self.polynomial, part)
+
+    def count(self, lower, upper, limit: int | None = None) -> int:
+        """Number of distinct roots in (lower, upper], counting stops at
+        `limit` when one is given."""
+        lower, upper = _frac(lower), _frac(upper)
+        if not lower < upper:
+            raise ValueError("need lower < upper")
+        if self.sign_at(lower) == 0:
+            raise EndpointIsRootError(f"polynomial vanishes at {lower}")
+        limit = len(self._cs) if limit is None else limit
+        found = int(self.sign_at(upper) == 0)
+        if found < limit:
+            found += self._count_open(lower, upper, limit - found)
+        return found
+
+    def _count_open(self, a: Fraction, b: Fraction, limit: int) -> int:
+        """Roots in the open (a, b), counted up to `limit`: a sign change or
+        V = 1 shows one, V = 0 none, and V >= 2 splits the interval (the
+        Vincent-Collins-Akritas step)."""
+        if limit == 1 and self.sign_at(a) * self.sign_at(b) < 0:
+            return 1
+        v = self.variations(a, b)
+        if v < 2:
+            return v
+        mid = (a + b) / 2
+        found = int(self.sign_at(mid) == 0)
+        for lo, hi in ((mid, b), (a, mid)):
+            if found < limit:
+                found += self._count_open(lo, hi, limit - found)
+        return found
+
+
+def _isolator(p) -> RootIsolator:
+    return p if isinstance(p, RootIsolator) else RootIsolator(p)
+
+
+def nudge_off_root(roots, x, toward) -> Fraction:
+    """Move x toward `toward` in steps of 2**-64 of the gap until `roots`
+    (anything with an exact `sign_at`) no longer vanishes; finitely many
+    roots guarantee termination."""
     x, toward = _frac(x), _frac(toward)
     gap = toward - x
     step = gap * _SHRINK
-    while chain.sign_at(x) == 0:
+    while roots.sign_at(x) == 0:
         x += step
         step *= 2
         if abs(step) > abs(gap):
@@ -257,37 +420,53 @@ def nudge_off_root(chain: SturmChain, x, toward) -> Fraction:
     return x
 
 
-def _deflated_at(chain: SturmChain, point: Fraction) -> SturmChain:
-    """Chain of the square-free part with every root at `point` divided out;
-    its count over (point, b] is exact even though p(point) == 0."""
-    work = list(chain._square_free)
-    num, e, dp = _point_data(point, len(work) - 1)
-    while len(work) > 1 and _sign_at(work, num, e, dp) == 0:
-        work = _deflate_root(work, point.numerator, point.denominator)
-    return SturmChain(ExactPolynomial([int(c) for c in work]))
-
-
 def isolate_max_root(p, lower, upper, eps) -> tuple[Fraction, Fraction]:
     """Bracket (u, v) with v - u <= eps around the largest root in
-    (lower, upper], by bisection with exact Sturm counts."""
-    chain = _as_chain(p)
+    (lower, upper], by bisection with exact decisions.
+
+    "Is there a root in (mid, hi]?" is answered by the sign of hi, a sign
+    change, or Descartes counts.  Once V(lo, hi) = 1 shows the root alone
+    in (lo, hi), every later step is a single sign evaluation."""
+    roots = _isolator(p)
     lo, hi = _frac(lower), _frac(upper)
     eps = _frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if chain.count(lo, hi) < 1:
+    if not roots.count(lo, hi, 1):
         raise NoRootError(f"no root in ({lo}, {hi}]")
+    alone = False  # (lo, hi) holds exactly one root and hi is none
     while hi - lo > eps:
         mid = (lo + hi) / 2
-        if chain.sign_at(mid) == 0:
-            # mid is exactly a root; count strictly above it on a chain with
-            # that root divided out
-            if _deflated_at(chain, mid).count(mid, hi) >= 1:
+        sign, sign_hi = roots.sign_at(mid), roots.sign_at(hi)
+        if sign == 0:
+            # mid is exactly a root; count strictly above it with that root
+            # divided out
+            if roots.without_root(mid).count(mid, hi, 1):
                 lo = mid
-            else:
-                half = eps / 2
-                return mid - half, min(mid + half, hi)
-        elif chain.count(mid, hi) >= 1:
+                continue
+            half = eps / 2
+            return mid - half, min(mid + half, hi)
+        if alone or sign != sign_hi:
+            above = sign != sign_hi
+        elif roots.sign_at(lo) == -sign and roots.variations(lo, hi) == 1:
+            alone, above = True, False
+        else:
+            above = roots.count(mid, hi, 1) > 0
+        if above:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def separate_max_root(p, lower, upper) -> tuple[Fraction, Fraction]:
+    """Halve (lower, upper], keeping its largest root, until that root is
+    the only one in it."""
+    roots = _isolator(p)
+    lo, hi = _frac(lower), _frac(upper)
+    while roots.count(lo, hi, 2) > 1:
+        mid = (lo + hi) / 2
+        if roots.count(mid, hi, 1):
             lo = mid
         else:
             hi = mid
@@ -316,38 +495,27 @@ def poly_fingerprint(p: ExactPolynomial) -> str:
 def certify_positive(p, lower, upper) -> ExclusionCertificate:
     """Certify p > 0 on the open interval (lower, upper).
 
-    Roots exactly at an endpoint are allowed: they are divided out before
-    counting, so the count refers to the open interval only.
+    Roots exactly at an endpoint are allowed: they are divided out first.
+    The proof is V(lower, upper) = 0 for what remains, or, when V > 0,
+    V = 0 on every piece of the bisection that finds no root.
     """
-    chain = _as_chain(p)
+    roots = _isolator(p)
     lo, hi = _frac(lower), _frac(upper)
     if not lo < hi:
         raise ValueError("need lower < upper")
-    work = list(chain._square_free)
-    deflated = False
-    for pt in (lo, hi):
-        num, e, dp = _point_data(pt, len(work) - 1)
-        while len(work) > 1 and _sign_at(work, num, e, dp) == 0:
-            work = _deflate_root(work, pt.numerator, pt.denominator)
-            deflated = True
-    # after deflation neither endpoint is a root, so the count over (lo, hi]
-    # is exactly the number of distinct roots in the open interval
-    counting_chain = (
-        SturmChain(ExactPolynomial([int(c) for c in work])) if deflated else chain
-    )
-    count = counting_chain.count(lo, hi)
-    if count > 0:
-        bracket = isolate_max_root(counting_chain, lo, hi, Fraction(1, 2**40))
+    counting = roots.without_root(lo).without_root(hi)
+    if counting.count(lo, hi, 1):
+        bracket = isolate_max_root(counting, lo, hi, Fraction(1, 2**40))
         raise RootPresentError(f"root inside ({lo}, {hi})", bracket)
     sample = (lo + hi) / 2
-    sign = chain.original_sign_at(sample)
+    sign = roots.polynomial.sign_at(sample)
     if sign < 0:
         raise NegativeOnIntervalError(f"polynomial is negative at {sample}")
     if sign == 0:
         raise AssertionError("zero count but vanishing sample")
     return ExclusionCertificate(
-        poly_degree=chain.polynomial.degree,
-        poly_sha256=poly_fingerprint(chain.polynomial),
+        poly_degree=roots.polynomial.degree,
+        poly_sha256=poly_fingerprint(roots.polynomial),
         lower=lo,
         upper=hi,
         root_count_in_interval=0,

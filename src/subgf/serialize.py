@@ -25,10 +25,6 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def frac_decimal(x: Fraction, digits: int = 50) -> str:
     """Fixed-point decimal, truncated toward zero."""
     x = Fraction(x)
@@ -70,10 +66,6 @@ def quadratic_json(x) -> dict:
 
 def poly_json(p: ExactPolynomial) -> list[str]:
     return [frac_str(c) for c in p.coefficients]
-
-
-def poly_from_json(coeffs) -> ExactPolynomial:
-    return ExactPolynomial([Fraction(c) for c in coeffs])
 
 
 def series_json(order: int, coefficients) -> dict:

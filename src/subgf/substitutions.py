@@ -24,7 +24,7 @@ from .errors import (
 )
 from .periodicity import detect_period, verify_witness
 from .polynomials import ExactPolynomial
-from .realroots import SturmChain, isolate_max_root
+from .realroots import RootIsolator, isolate_max_root, separate_max_root
 
 _LETTER = re.compile(r"[A-Za-z0-9]")
 
@@ -119,19 +119,6 @@ class Substitution:
                 a: sum(lengths[b] for b in self.image(a)) for a in self.alphabet
             }
         return lengths
-
-    def letter_counts(self, m: int) -> dict[str, dict[str, int]]:
-        """counts[a][b] = number of b's in sigma^m(a)."""
-        counts = {a: {b: int(a == b) for b in self.alphabet} for a in self.alphabet}
-        for _ in range(m):
-            counts = {
-                a: {
-                    b: sum(counts[c][b] for c in self.image(a))
-                    for b in self.alphabet
-                }
-                for a in self.alphabet
-            }
-        return counts
 
     def __str__(self):
         return "\n".join(f"{a} -> {img}" for a, img in zip(self.alphabet, self.images))
@@ -364,27 +351,21 @@ def pf_data(m: SubstitutionMatrix) -> PFData:
     if witness is None:
         raise NotPrimitiveError("matrix is not primitive")
     char = characteristic_polynomial(m)
-    chain = SturmChain(char)
+    roots = RootIsolator(char)
     # the dominant eigenvalue lies in [1, max row sum]; rational roots of a
     # monic integer polynomial are integers, so no root can sit at 1/2
     lower = Fraction(1, 2)
     upper = Fraction(max(m.row_sums()) + 1)
-    lo, hi = isolate_max_root(chain, lower, upper, Fraction(1, 2**32))
-    while chain.count(lo, hi) > 1:
-        mid = (lo + hi) / 2
-        if chain.count(mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    candidates = []
-    for f in dict.fromkeys(_irreducible_factors(char)):
-        fchain = SturmChain(f)
-        if fchain.sign_at(lo) == 0:
-            # an irreducible factor with a rational root is X - lo itself,
-            # whose only root is excluded from (lo, hi]
-            continue
-        if fchain.count(lo, hi) >= 1:
-            candidates.append(f)
+    lo, hi = isolate_max_root(roots, lower, upper, Fraction(1, 2**32))
+    lo, hi = separate_max_root(roots, lo, hi)
+    # the dominant eigenvalue is a simple root of char and its only root in
+    # (lo, hi], so exactly the irreducible factor vanishing there changes
+    # sign across the bracket; a factor vanishing at lo is X - lo itself
+    candidates = [
+        f
+        for f in dict.fromkeys(_irreducible_factors(char))
+        if f.sign_at(lo) not in (0, f.sign_at(hi))
+    ]
     if len(candidates) != 1:
         raise AssertionError("dominant root not isolated to a unique factor")
     min_poly = candidates[0]
@@ -393,14 +374,9 @@ def pf_data(m: SubstitutionMatrix) -> PFData:
         half = _PF_WIDTH / 4
         plo, phi = root - half, root + half
     else:
-        mchain = SturmChain(min_poly)
-        plo, phi = isolate_max_root(mchain, lower, upper, _PF_WIDTH / 2)
-        while mchain.count(plo, phi) > 1:
-            mid = (plo + phi) / 2
-            if mchain.count(mid, phi) >= 1:
-                plo = mid
-            else:
-                phi = mid
+        min_roots = RootIsolator(min_poly)
+        plo, phi = isolate_max_root(min_roots, lower, upper, _PF_WIDTH / 2)
+        plo, phi = separate_max_root(min_roots, plo, phi)
     assert min_poly.sign_at(plo) * min_poly.sign_at(phi) < 0
     return PFData(
         char_poly=char,

@@ -172,6 +172,22 @@ def test_criterion_04_certified_root_bounds():
             previous = bound.alpha_hat
 
 
+def test_certified_root_bounds_exact_values():
+    # binding block, alpha_hat and bracket at the default tolerance 1e-8,
+    # pinned exactly so that a change of root-finding method shows
+    pinned = {
+        1: ("R", "-121009819/134217728", "-30252455/33554432"),
+        2: ("T", "-31933707/33554432", "-127734829/134217728"),
+        3: ("R", "-133461101/134217728", "-66730551/67108864"),
+        4: ("T", "-133855015/134217728", "-16731877/16777216"),
+    }
+    for level, (binding, alpha_hat, lower) in pinned.items():
+        bound = level4_bound() if level == 4 else positivity_bound(level)
+        assert bound.binding == binding, level
+        assert bound.alpha_hat == F(alpha_hat), level
+        assert bound.bracket == (F(lower), F(alpha_hat)), level
+
+
 def test_criterion_05_recursion_oracles(fib, xyz):
     with Stopwatch("5", 60.0):
         for s, top in ((fib, 18), (xyz, 12)):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from sympy import Poly as SympyPoly, Rational as SympyRational, symbols
 
 from subgf.errors import (
     EndpointIsRootError,
@@ -13,10 +14,12 @@ from subgf.errors import (
 from subgf.genfun import char_prefix_poly
 from subgf.polynomials import ExactPolynomial as P
 from subgf.realroots import (
+    RootIsolator,
     certify_positive,
     count_roots,
     isolate_max_root,
     nudge_off_root,
+    separate_max_root,
     sturm_chain,
 )
 
@@ -178,3 +181,156 @@ def test_count_matches_grid_sign_scan():
                 crossings += 1
             prev = s
         assert chain.count(lo, hi) == crossings
+
+
+# -- Descartes counts against Sturm chains and sympy -------------------------
+
+_X = symbols("x")
+# dyadic roots, so bisection midpoints land on roots, and a few others
+_ROOT_POOL = sorted(
+    {F(n, 2**k) for n in range(-16, 17) for k in (0, 1, 2, 3)}
+    | {F(n, 3) for n in range(-8, 9)}
+)
+_POINT_POOL = sorted({F(n, 4) for n in range(-20, 21)} | {F(n, 3) for n in range(-6, 7)})
+
+
+def _random_polynomial(rng):
+    """Integer polynomial with repeated, dyadic and irrational real roots and
+    complex pairs, with its rational roots; three times in ten a dense random
+    one instead."""
+    if rng.random() < 0.3:
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))]
+        return P(coeffs + [rng.randint(1, 9)]), []
+    poly = P([rng.choice([1, -1, 2, -3])])
+    roots = rng.sample(_ROOT_POOL, rng.randint(1, 5))
+    for r in roots:
+        factor = P([-r.numerator, r.denominator])
+        poly = poly * (factor if rng.random() < 0.7 else factor * factor)
+    for _ in range(rng.randint(0, 2)):
+        poly = poly * rng.choice([P([-2, 0, 1]), P([1, 0, 1]), P([-1, -1, 1]), P([5, -2, 1])])
+    return poly, roots
+
+
+def _sympy_count(poly, a, b):
+    """Distinct roots in (a, b]: sympy counts the closed [a, b]."""
+    rational = lambda x: SympyRational(x.numerator, x.denominator)  # noqa: E731
+    sp = SympyPoly([rational(c) for c in reversed(poly.coefficients)], _X)
+    return sp.count_roots(rational(a), rational(b)) - (poly(a) == 0)
+
+
+def _sturm_isolate_max_root(poly, lower, upper, eps):
+    """The bisection of `isolate_max_root` decided by Sturm counts alone."""
+    chain = sturm_chain(poly)
+    lo, hi = lower, upper
+    if chain.count(lo, hi) < 1:
+        raise NoRootError("")
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        if chain.sign_at(mid) == 0:
+            deflated = sturm_chain(chain.square_free_part.exact_div(P([-mid, 1])))
+            if deflated.count(mid, hi) >= 1:
+                lo = mid
+            else:
+                return mid - eps / 2, min(mid + eps / 2, hi)
+        elif chain.count(mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _random_cases(seed, count):
+    """(poly, a, b) with a < b; in two cases of five an end is a root."""
+    rng = random.Random(seed)
+    while count:
+        poly, roots = _random_polynomial(rng)
+        ends = rng.sample(_POINT_POOL, 2)
+        if roots and rng.random() < 0.4:
+            ends[rng.randrange(2)] = rng.choice(roots)
+        if ends[0] != ends[1]:
+            count -= 1
+            yield poly, min(ends), max(ends)
+
+
+def test_descartes_counts_match_sturm_and_sympy():
+    for poly, a, b in _random_cases(2024, 120):
+        roots = RootIsolator(poly)
+        if poly(a) == 0:
+            with pytest.raises(EndpointIsRootError):
+                roots.count(a, b)
+            continue
+        expected = sturm_chain(poly).count(a, b)
+        assert expected == _sympy_count(poly, a, b)
+        assert roots.count(a, b) == expected, (poly, a, b)
+        assert roots.count(a, b, 1) == min(expected, 1)
+        # Descartes' bound on the square-free part: never below the count,
+        # and of the same parity when neither end is a root
+        if poly(b) != 0:
+            v = roots.variations(a, b)
+            assert v >= expected and (v - expected) % 2 == 0
+
+
+def test_isolate_max_root_matches_sturm_bisection():
+    checked = 0
+    eps_rng = random.Random(78)
+    for poly, a, b in _random_cases(77, 120):
+        eps = F(1, 2 ** eps_rng.randint(3, 30))
+        if poly(a) == 0:
+            continue
+        try:
+            expected = _sturm_isolate_max_root(poly, a, b, eps)
+        except NoRootError:
+            with pytest.raises(NoRootError):
+                isolate_max_root(poly, a, b, eps)
+            continue
+        assert isolate_max_root(poly, a, b, eps) == expected, (poly, a, b, eps)
+        lo, hi = separate_max_root(poly, *expected)
+        assert sturm_chain(poly).count(lo, hi) == 1
+        checked += 1
+    assert checked > 40
+
+
+def test_certify_positive_matches_sturm():
+    outcomes = set()
+    for poly, a, b in _random_cases(5, 150):
+        # the reference: divide endpoint roots out, then count in (a, b)
+        part = sturm_chain(poly).square_free_part
+        for end in (a, b):
+            if part(end) == 0:
+                part = part.exact_div(P([-end, 1]))
+        inside = sturm_chain(part).count(a, b)
+        try:
+            cert = certify_positive(poly, a, b)
+        except RootPresentError as err:
+            outcomes.add("root")
+            assert inside > 0
+            assert err.bracket == _sturm_isolate_max_root(part, a, b, F(1, 2**40))
+        except NegativeOnIntervalError:
+            outcomes.add("negative")
+            assert inside == 0 and poly((a + b) / 2) < 0
+        else:
+            outcomes.add("positive")
+            assert inside == 0 and poly(cert.sample_point) > 0
+            assert cert.lower == a and cert.upper == b
+    assert outcomes == {"root", "negative", "positive"}
+
+
+def test_square_free_part_only_when_needed():
+    square_free = P([-2, 0, 1]) * P([1, 1])
+    assert RootIsolator(square_free)._cs == [-2, -2, 1, 1]
+    repeated = P([-1, 2]) * P([-1, 2]) * P([3, 1])
+    roots = RootIsolator(repeated)
+    assert roots._cs == [-3, 5, 2]  # (2x - 1)(x + 3), primitive
+    assert roots.count(-4, 1) == 2
+    assert roots.sign_at(F(1, 2)) == 0
+
+
+def test_zero_variations_prove_root_free():
+    roots = RootIsolator(R1)  # 1 + x^2 + x^3 + x^5 + x^7, one real root
+    assert roots.variations(F(0), F(1)) == 0
+    assert roots.variations(F(-1, 2), F(0)) == 0
+    assert roots.count(F(-1, 2), F(0)) == 0
+    assert roots.variations(F(-1), F(-9, 10)) == 1
+    assert roots.count(F(-1), F(-9, 10)) == 1
+    with pytest.raises(ZeroPolynomialError):
+        RootIsolator(P.zero())
