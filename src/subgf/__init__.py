@@ -30,15 +30,18 @@ from .genfun import (
     recursive_char_poly,
     recursive_pos_poly,
     series_verdict,
+    series_verdict_of,
     summatory_transform,
     weighted_series,
 )
 from .geometric import (
     LengthAssignment,
     classify_two_letter,
+    classify_two_letter_of,
     endpoint_sequence,
     geometric_series,
     natural_lengths,
+    natural_lengths_of,
     reduce_two_letter,
 )
 from .periodicity import PeriodWitness
@@ -54,6 +57,7 @@ from .realroots import (
 )
 from .substitutions import (
     Alphabet,
+    Analysis,
     AperiodicByIrrationalPF,
     AperiodicityVerdict,
     EventuallyPeriodic,

@@ -18,9 +18,8 @@ from .genfun import (
     char_series,
     position_series,
     rational_form_from_witness,
-    series_verdict,
+    series_verdict_of,
 )
-from .periodicity import detect_period
 from .serialize import (
     aperiodicity_json,
     canonical_dumps,
@@ -35,14 +34,11 @@ from .serialize import (
     witness_json,
 )
 from .substitutions import (
+    Analysis,
     InconclusiveUpTo,
-    aperiodicity_verdict,
     fixed_point_seed,
     fixed_word_prefix,
-    is_primitive,
     parse_substitution,
-    pf_data,
-    substitution_matrix,
 )
 
 DEFAULT_ORDER = 2048
@@ -62,12 +58,10 @@ def _load(path: str):
 
 def _analyze(args) -> int:
     s = _load(args.file)
-    bounds = (args.max_preperiod, args.max_period)
-    matrix = substitution_matrix(s)
-    witness = is_primitive(matrix)
+    analysis = Analysis(s, None, (args.max_preperiod, args.max_period))
+    witness = analysis.primitivity_witness
     report = {
         "defaults": {
-            "order": args.order,
             "max_preperiod": args.max_preperiod,
             "max_period": args.max_period,
         },
@@ -75,7 +69,7 @@ def _analyze(args) -> int:
             "alphabet": list(s.alphabet.letters),
             "rules": dict(s.rules),
         },
-        "matrix": [list(row) for row in matrix.rows],
+        "matrix": [list(row) for row in analysis.matrix.rows],
         "primitivity_witness": witness,
     }
     inconclusive = False
@@ -86,7 +80,7 @@ def _analyze(args) -> int:
         report["geometric"] = None
         inconclusive = True
     else:
-        data = pf_data(matrix)
+        data = analysis.pf
         report["pf"] = {
             "char_poly": [frac_str(c) for c in data.char_poly.coefficients],
             "min_poly": [frac_str(c) for c in data.min_poly_of_pf.coefficients],
@@ -96,14 +90,12 @@ def _analyze(args) -> int:
                 "upper": frac_str(data.pf_upper),
             },
         }
-        verdict = aperiodicity_verdict(s, *bounds)
-        report["aperiodicity"] = aperiodicity_json(verdict)
-        inconclusive |= isinstance(verdict, InconclusiveUpTo)
-        seed = fixed_point_seed(s)
+        report["aperiodicity"] = aperiodicity_json(analysis.verdict)
+        inconclusive |= isinstance(analysis.verdict, InconclusiveUpTo)
         series = {}
         for letter in s.alphabet:
-            char_v = series_verdict(s, seed, letter, CHARACTERISTIC, bounds)
-            pos_v = series_verdict(s, seed, letter, POSITION, bounds)
+            char_v = series_verdict_of(analysis, letter, CHARACTERISTIC)
+            pos_v = series_verdict_of(analysis, letter, POSITION)
             inconclusive |= isinstance(char_v, InconclusiveUpTo)
             inconclusive |= isinstance(pos_v, InconclusiveUpTo)
             series[letter] = {
@@ -113,8 +105,8 @@ def _analyze(args) -> int:
         report["series"] = series
         report["geometric"] = None
         if len(s.alphabet) == 2:
-            lengths = geometric.natural_lengths(s)
-            cls = geometric.classify_two_letter(s, seed, lengths, bounds)
+            lengths = geometric.natural_lengths_of(analysis)
+            cls = geometric.classify_two_letter_of(analysis, lengths)
             inconclusive |= cls.case == "inconclusive"
             report["geometric"] = {
                 "lengths": {
@@ -176,11 +168,9 @@ def _period(args) -> int:
     s = _load(args.file)
     if args.letter not in s.alphabet:
         raise SubgfError(f"letter {args.letter!r} not in alphabet")
-    seed = fixed_point_seed(s)
-    need = args.max_preperiod + 10 * args.max_period
-    prefix = fixed_word_prefix(s, seed, need)
-    indicator = [int(ch == args.letter) for ch in prefix]
-    witness = detect_period(indicator, args.max_preperiod, args.max_period)
+    analysis = Analysis(s, None, (args.max_preperiod, args.max_period))
+    witness = analysis.raw_witness(args.letter)
+    indicator = analysis.indicator(args.letter)
     payload = {
         "letter": args.letter,
         "bounds": {
@@ -270,14 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_strict=True):
-        if with_strict:
-            p.add_argument("--strict", action="store_true",
-                           help="exit 3 when any verdict is inconclusive")
+    def common(p):
+        p.add_argument("--strict", action="store_true",
+                       help="exit 3 when any verdict is inconclusive")
 
     p = sub.add_parser("analyze", help="full report for a rule file")
     p.add_argument("file")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--max-preperiod", type=int, default=DEFAULT_MAX_PREPERIOD)
     p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
     common(p)

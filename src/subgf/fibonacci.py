@@ -20,7 +20,6 @@ from .realroots import (
     RootIsolator,
     certify_positive,
     isolate_max_root,
-    nudge_off_root,
 )
 from .substitutions import (
     FixedPointSeed,
@@ -259,15 +258,15 @@ def positivity_bound(n: int, tolerance=Fraction(1, 10**8)) -> PositivityBound:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     polys = pair_polynomials(n)
-    isolators = {label: RootIsolator(p) for label, p in polys.by_label().items()}
-    zero = Fraction(0)
+    low, zero = Fraction(-1), Fraction(0)
+    # a root exactly at -1 (the S blocks always have one) is outside the
+    # open interval: divide it out, which keeps every sign on (-1, 0]
+    isolators = {
+        label: RootIsolator(p).without_root(low)
+        for label, p in polys.by_label().items()
+    }
     brackets: dict[str, tuple[Fraction, Fraction]] = {}
     for label, roots in isolators.items():
-        low = Fraction(-1)
-        if roots.sign_at(low) == 0:
-            # a root exactly at -1 (the S blocks always have one) is outside
-            # the open interval; step inside before counting
-            low = nudge_off_root(roots, low, zero)
         if roots.count(low, zero, 1):
             brackets[label] = isolate_max_root(roots, low, zero, tolerance)
     if not brackets:

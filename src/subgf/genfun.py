@@ -2,6 +2,9 @@
 prefix polynomials, concatenation and recursion laws, differencing and
 summatory transforms, periodicity certificates, and rationality verdicts.
 
+The verdicts read PF data, prefixes, witnesses, positions and the
+aperiodicity verdict from a `substitutions.Analysis`, which derives each once.
+
 Everything here is exact rational arithmetic; there is no floating point.
 """
 from __future__ import annotations
@@ -20,19 +23,18 @@ from .errors import (
 from .periodicity import PeriodWitness, detect_period, verify_witness
 from .polynomials import ExactPolynomial, _frac
 from .substitutions import (
+    DEFAULT_BOUNDS,
     AperiodicByIrrationalPF,
+    Analysis,
     FixedPointSeed,
     InconclusiveUpTo,
     Substitution,
-    aperiodicity_verdict,
     fixed_word,
     fixed_word_prefix,
     gap_bound,
     is_primitive,
     substitution_matrix,
 )
-
-DEFAULT_BOUNDS = (1000, 200)
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,11 @@ def position_series(
 ) -> TruncatedSeries:
     """First n_terms occurrence positions, as coefficients of X**1..X**n_terms
     with constant term 0."""
+    return _scan_positions(s, fixed_word(s, seed), letter, n_terms, scan_bound)
+
+
+def _scan_positions(s, letters, letter, n_terms, scan_bound=None) -> TruncatedSeries:
+    """`position_series` over a stream of the fixed word's letters."""
     if letter not in s.alphabet:
         raise KeyError(f"letter {letter!r} not in alphabet")
     if n_terms < 0:
@@ -111,7 +118,7 @@ def position_series(
         else:
             scan_bound = 4 * n_terms + 64
     coeffs = [0]
-    for i, ch in enumerate(fixed_word(s, seed)):
+    for i, ch in enumerate(letters):
         if i >= scan_bound:
             break
         if ch == letter:
@@ -314,40 +321,19 @@ CHARACTERISTIC = "characteristic"
 POSITION = "position"
 
 
-def _indicator_witnesses(
-    s: Substitution, seed: FixedPointSeed, bounds: tuple[int, int]
-) -> dict[str, Optional[PeriodWitness]]:
-    """Verified periodicity witnesses of each letter's indicator sequence.
-
-    A witness found on the base prefix must also explain the prefix obtained
-    by one further application of sigma**power, mirroring the substitution
-    self-similarity check; otherwise it is discarded.
-    """
-    max_pre, max_per = bounds
-    need = max_pre + 10 * max_per
-    prefix = fixed_word_prefix(s, seed, need)
-    lengths = s.image_lengths(seed.power)
-    extended: Optional[str] = None
-    out: dict[str, Optional[PeriodWitness]] = {}
-    for letter in s.alphabet:
-        indicator = [int(ch == letter) for ch in prefix]
-        w = detect_period(indicator, max_pre, max_per)
-        if w is not None:
-            if extended is None:
-                extended_len = sum(lengths[ch] for ch in prefix)
-                extended = fixed_word_prefix(s, seed, extended_len)
-            if not verify_witness([int(ch == letter) for ch in extended], w):
-                w = None
-        out[letter] = w
-    return out
-
-
 def series_verdict(
     s: Substitution,
     seed: FixedPointSeed,
     letter: str,
     kind: str = CHARACTERISTIC,
     bounds: tuple[int, int] = DEFAULT_BOUNDS,
+) -> SeriesVerdict:
+    """`series_verdict_of` on a fresh `Analysis(s, seed, bounds)`."""
+    return series_verdict_of(Analysis(s, seed, bounds), letter, kind)
+
+
+def series_verdict_of(
+    analysis: Analysis, letter: str, kind: str = CHARACTERISTIC
 ) -> SeriesVerdict:
     """Rationality/transcendence verdict for one letter's generating function.
 
@@ -360,62 +346,40 @@ def series_verdict(
     letter indicators sum to the all-ones sequence.  Everything else is
     inconclusive.
     """
+    s = analysis.substitution
     if letter not in s.alphabet:
         raise KeyError(f"letter {letter!r} not in alphabet")
-    if is_primitive(substitution_matrix(s)) is None:
+    if analysis.primitivity_witness is None:
         raise NotPrimitiveError("substitution is not primitive")
     if kind not in (CHARACTERISTIC, POSITION):
         raise ValueError(f"unknown kind {kind!r}")
-    max_pre, max_per = bounds
-    statuses = _indicator_witnesses(s, seed, bounds)
+    inconclusive = InconclusiveUpTo(*analysis.bounds)
 
     if kind == CHARACTERISTIC:
-        w = statuses[letter]
+        w = analysis.witnesses[letter]
         if w is not None:
-            need = max_pre + 10 * max_per
-            indicator = [
-                int(ch == letter) for ch in fixed_word_prefix(s, seed, need)
-            ]
-            return Rational(rational_form_from_witness(indicator, w), w)
-        if _transcendental_by_elimination(s, statuses, letter, bounds):
-            return TranscendentalByAperiodicity(_elimination_reason(s))
-        return InconclusiveUpTo(max_pre, max_per)
+            form = rational_form_from_witness(analysis.indicator(letter), w)
+            return Rational(form, w)
+    else:
+        # position kind: difference once (bounded gaps make the differenced
+        # sequence take finitely many values), detect, then multiply the
+        # certificate back by 1/(1 - X)
+        try:
+            pos = _scan_positions(s, analysis.letters(), letter, analysis.need)
+        except InsufficientOccurrencesError:
+            return inconclusive
+        diff = difference_transform(pos, 1)
+        w = detect_period(diff.coefficients, *analysis.bounds)
+        if w is not None:
+            base = rational_form_from_witness(diff.coefficients, w)
+            form = RationalForm(base.numerator, base.period, summatory_power=1)
+            if form.expand(pos.order).coefficients != pos.coefficients:
+                raise WitnessInvalidError("position re-expansion failed")
+            return Rational(form, w)
 
-    # position kind: difference once (bounded gaps make the differenced
-    # sequence take finitely many values), detect, then multiply the
-    # certificate back by 1/(1 - X)
-    need = max_pre + 10 * max_per
-    try:
-        pos = position_series(s, seed, letter, need)
-    except InsufficientOccurrencesError:
-        return InconclusiveUpTo(max_pre, max_per)
-    diff = difference_transform(pos, 1)
-    w = detect_period(diff.coefficients, max_pre, max_per)
-    if w is not None:
-        base = rational_form_from_witness(diff.coefficients, w)
-        form = RationalForm(base.numerator, base.period, summatory_power=1)
-        if form.expand(pos.order).coefficients != pos.coefficients:
-            raise WitnessInvalidError("position re-expansion failed")
-        return Rational(form, w)
-    if _transcendental_by_elimination(s, statuses, letter, bounds):
-        return TranscendentalByAperiodicity(_elimination_reason(s))
-    return InconclusiveUpTo(max_pre, max_per)
-
-
-def _transcendental_by_elimination(
-    s: Substitution,
-    statuses: dict[str, Optional[PeriodWitness]],
-    letter: str,
-    bounds: tuple[int, int],
-) -> bool:
-    verdict = aperiodicity_verdict(s, *bounds)
-    if not isinstance(verdict, AperiodicByIrrationalPF):
-        return False
-    undetermined = [a for a in s.alphabet if statuses[a] is None]
-    return len(undetermined) == 2 and letter in undetermined
-
-
-def _elimination_reason(s: Substitution) -> str:
-    if len(s.alphabet) == 2:
-        return "aperiodic-by-irrational-eigenvalue"
-    return "aperiodic-by-irrational-eigenvalue-and-elimination"
+    if isinstance(analysis.verdict, AperiodicByIrrationalPF):
+        undetermined = [a for a, w in analysis.witnesses.items() if w is None]
+        if len(undetermined) == 2 and letter in undetermined:
+            by = "" if len(s.alphabet) == 2 else "-and-elimination"
+            return TranscendentalByAperiodicity("aperiodic-by-irrational-eigenvalue" + by)
+    return inconclusive

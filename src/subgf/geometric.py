@@ -11,23 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 from .errors import WrongAlphabetSizeError
 from .genfun import RationalForm, rational_form_from_witness
-from .periodicity import detect_period
 from .polynomials import ExactPolynomial
 from .quadratic import QuadraticReal
 from .substitutions import (
     AperiodicByIrrationalPF,
+    Analysis,
     EventuallyPeriodic,
     FixedPointSeed,
     PFData,
     Substitution,
-    aperiodicity_verdict,
     fixed_word_prefix,
-    pf_data,
-    substitution_matrix,
 )
 
 TileLength = Union[Fraction, QuadraticReal]
@@ -128,10 +126,15 @@ def _kernel_vector(rows: list[list]) -> list:
 
 
 def natural_lengths(s: Substitution) -> LengthAssignment:
+    """`natural_lengths_of` on a fresh `Analysis(s)`."""
+    return natural_lengths_of(Analysis(s))
+
+
+def natural_lengths_of(analysis: Analysis) -> LengthAssignment:
     """Left eigenvector of the substitution matrix for the dominant
     eigenvalue, normalized so the last letter's tile has length 1."""
-    matrix = substitution_matrix(s)
-    data = pf_data(matrix)  # raises NotPrimitiveError
+    s, matrix = analysis.substitution, analysis.matrix
+    data = analysis.pf  # raises NotPrimitiveError
     k = matrix.k
     lam = pf_as_quadratic(data)
     if lam is not None:
@@ -180,20 +183,18 @@ def endpoint_sequence(
     s: Substitution, seed: FixedPointSeed, lengths, n: int
 ) -> list[TileLength]:
     """t_0 = 0 and t_{m+1} = t_m + length of the m-th tile; n+1 values."""
+    return _endpoints(s, lengths, fixed_word_prefix(s, seed, n))
+
+
+def _endpoints(s: Substitution, lengths, prefix: str) -> list[TileLength]:
     table = _length_map(lengths)
     for letter in s.alphabet:
         if letter not in table:
             raise ValueError(f"no length for letter {letter!r}")
         if not _is_positive(table[letter]):
             raise ValueError(f"length of {letter!r} must be positive")
-    prefix = fixed_word_prefix(s, seed, n)
     zero = next(iter(table.values())) * 0
-    out = [zero]
-    acc = zero
-    for ch in prefix:
-        acc = acc + table[ch]
-        out.append(acc)
-    return out
+    return list(accumulate((table[ch] for ch in prefix), initial=zero))
 
 
 @dataclass(frozen=True)
@@ -280,28 +281,31 @@ def classify_two_letter(
     bounds: tuple[int, int] = (1000, 200),
     check_order: int = 1000,
 ) -> TwoLetterClassification:
+    """`classify_two_letter_of` on a fresh `Analysis(s, seed, bounds)`."""
+    return classify_two_letter_of(Analysis(s, seed, bounds), lengths, check_order)
+
+
+def classify_two_letter_of(
+    analysis: Analysis, lengths, check_order: int = 1000
+) -> TwoLetterClassification:
+    s = analysis.substitution
     table = _length_map(lengths)
     if len(s.alphabet) != 2:
         raise WrongAlphabetSizeError("classification requires exactly two letters")
     first, second = s.alphabet.letters
     g1, g2 = table[first], table[second]
-    points = endpoint_sequence(s, seed, table, check_order)
+    points = _endpoints(s, table, analysis.prefix(check_order))
     if g1 == g2:
         ok = all(points[n] == g1 * n for n in range(check_order + 1))
         return TwoLetterClassification(
             "equal-lengths", shared_length=g1, verified=ok
         )
-    verdict = aperiodicity_verdict(s, *bounds)
+    verdict = analysis.verdict
     if isinstance(verdict, EventuallyPeriodic):
-        max_pre, max_per = bounds
-        need = max_pre + 10 * max_per
-        indicator = [
-            int(ch == first) for ch in fixed_word_prefix(s, seed, need)
-        ]
-        witness = detect_period(indicator, max_pre, max_per)
+        witness = analysis.raw_witness(first)
         if witness is None:
             return TwoLetterClassification("inconclusive", verified=False)
-        form = rational_form_from_witness(indicator, witness)
+        form = rational_form_from_witness(analysis.indicator(first), witness)
         # G = difference * X * P / ((1-X)(1-X^d)) + second * X / (1-X)^2
         expanded = RationalForm(form.numerator, form.period, 1).expand(check_order)
         ok = all(

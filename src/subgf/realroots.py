@@ -39,7 +39,6 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
 
     _mpz = int
 
-_SHRINK = Fraction(1, 2**64)
 _PRIME = 2**31 - 1  # modulus of the square-freeness proof
 
 
@@ -170,7 +169,6 @@ class SturmChain:
         self.polynomial = polynomial
         ints, _ = polynomial.integer_coefficients()
         work = _primitive([_mpz(c) for c in ints])
-        self._original_ints = list(work)
         while True:
             chain = _build_chain(work)
             if len(chain) == 1 or len(chain[-1]) == 1:
@@ -199,10 +197,6 @@ class SturmChain:
         """Sign of the square-free part at a rational point."""
         num, e, dp = _point_data(_frac(x), len(self._square_free) - 1)
         return _sign_at(self._square_free, num, e, dp)
-
-    def original_sign_at(self, x) -> int:
-        num, e, dp = _point_data(_frac(x), len(self._original_ints) - 1)
-        return _sign_at(self._original_ints, num, e, dp)
 
     def variations(self, x) -> int:
         x = _frac(x)
@@ -403,21 +397,6 @@ class RootIsolator:
 
 def _isolator(p) -> RootIsolator:
     return p if isinstance(p, RootIsolator) else RootIsolator(p)
-
-
-def nudge_off_root(roots, x, toward) -> Fraction:
-    """Move x toward `toward` in steps of 2**-64 of the gap until `roots`
-    (anything with an exact `sign_at`) no longer vanishes; finitely many
-    roots guarantee termination."""
-    x, toward = _frac(x), _frac(toward)
-    gap = toward - x
-    step = gap * _SHRINK
-    while roots.sign_at(x) == 0:
-        x += step
-        step *= 2
-        if abs(step) > abs(gap):
-            raise ArithmeticError("no root-free point found while nudging")
-    return x
 
 
 def isolate_max_root(p, lower, upper, eps) -> tuple[Fraction, Fraction]:

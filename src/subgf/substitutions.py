@@ -2,14 +2,18 @@
 primitivity, Perron-Frobenius data, one-sided fixed words, and the
 aperiodicity verdict.
 
+`Analysis` derives each of these facts once, on first use, together with
+the shared fixed-word prefix and each letter's periodicity witnesses.
+
 Letters are single characters from [A-Za-z0-9]; words are plain strings.
-All values are immutable after construction.
+All values but an `Analysis` are immutable after construction.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional, Union
 
@@ -22,7 +26,7 @@ from .errors import (
     UnknownLetterError,
     WrongAlphabetSizeError,
 )
-from .periodicity import detect_period, verify_witness
+from .periodicity import PeriodWitness, detect_period, verify_witness
 from .polynomials import ExactPolynomial
 from .realroots import RootIsolator, isolate_max_root, separate_max_root
 
@@ -259,25 +263,24 @@ def is_primitive(m: SubstitutionMatrix) -> Optional[int]:
 
 def characteristic_polynomial(m: SubstitutionMatrix) -> ExactPolynomial:
     """det(X*I - A), monic with integer coefficients, by the
-    Faddeev-LeVerrier trace recurrence."""
+    Faddeev-LeVerrier trace recurrence in integers: every M_k is an integer
+    matrix, so every c_k = -tr(A*M_k)/k is an exact integer quotient."""
     k = m.k
-    a = [[Fraction(e) for e in row] for row in m.rows]
-    work = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
+    a = m.rows
+    work = [[int(i == j) for j in range(k)] for i in range(k)]
+    coeffs = [0] * k + [1]
     for step in range(1, k + 1):
         prod = [
             [sum(a[i][t] * work[t][j] for t in range(k)) for j in range(k)]
             for i in range(k)
         ]
-        c = -sum(prod[i][i] for i in range(k)) / step
+        c, rem = divmod(-sum(prod[i][i] for i in range(k)), step)
+        assert rem == 0
         coeffs[k - step] = c
         work = [
             [prod[i][j] + (c if i == j else 0) for j in range(k)] for i in range(k)
         ]
-    poly = ExactPolynomial(coeffs)
-    assert all(c.denominator == 1 for c in poly.coefficients)
-    return poly
+    return ExactPolynomial(coeffs)
 
 
 def _irreducible_factors(p: ExactPolynomial) -> list[ExactPolynomial]:
@@ -335,10 +338,6 @@ class PFData:
     pf_upper: Fraction
     is_rational: bool
     primitivity_witness: int
-
-    @property
-    def pf_enclosure(self) -> tuple[Fraction, Fraction]:
-        return self.pf_lower, self.pf_upper
 
 
 _PF_WIDTH = Fraction(1, 10**12)
@@ -489,28 +488,90 @@ AperiodicityVerdict = Union[AperiodicByIrrationalPF, EventuallyPeriodic, Inconcl
 def aperiodicity_verdict(
     s: Substitution, prefix_bound: int = 1000, period_bound: int = 200
 ) -> AperiodicityVerdict:
-    """Verdict for the fixed word of a primitive substitution.
+    """`Analysis.verdict` for the fixed word of `fixed_point_seed(s)`."""
+    return Analysis(s, None, (prefix_bound, period_bound)).verdict
 
-    Irrational dominant eigenvalue settles aperiodicity outright.  With a
-    rational eigenvalue, a bounded periodicity search runs on the letter
-    sequence; a witness is only trusted after it also explains one further
-    application of sigma**power to the checked prefix (self-similarity),
-    since a finite prefix match alone proves nothing.  Everything else is
-    reported as inconclusive: with a rational eigenvalue this tool does not
-    decide aperiodicity.
-    """
-    data = pf_data(substitution_matrix(s))
-    if not data.is_rational:
-        return AperiodicByIrrationalPF()
-    seed = fixed_point_seed(s)
-    need = prefix_bound + 10 * period_bound
-    prefix = fixed_word_prefix(s, seed, need)
-    witness = detect_period(prefix, prefix_bound, period_bound)
-    if witness is None:
-        return InconclusiveUpTo(prefix_bound, period_bound)
-    lengths = s.image_lengths(seed.power)
-    extended_len = sum(lengths[ch] for ch in prefix)
-    extended = fixed_word_prefix(s, seed, extended_len)
-    if verify_witness(extended, witness):
-        return EventuallyPeriodic(witness.preperiod, witness.period)
-    return InconclusiveUpTo(prefix_bound, period_bound)
+
+DEFAULT_BOUNDS = (1000, 200)
+
+
+class Analysis:
+    """The facts derived from a substitution, a seed (by default
+    `fixed_point_seed`) and bounds (max preperiod, max period), each on first
+    use; every prefix comes from one growing copy of the fixed word."""
+
+    def __init__(self, s: Substitution, seed=None, bounds=DEFAULT_BOUNDS):
+        self.substitution, self.bounds, self._seed = s, bounds, seed
+        self.need = bounds[0] + 10 * bounds[1]  # base prefix for detect_period
+        self._word, self._stream = "", None
+        self._raw: dict[str, Optional[PeriodWitness]] = {}
+
+    @cached_property
+    def matrix(self) -> SubstitutionMatrix:
+        return substitution_matrix(self.substitution)
+
+    @cached_property
+    def primitivity_witness(self) -> Optional[int]:
+        return is_primitive(self.matrix)
+
+    @cached_property
+    def pf(self) -> PFData:
+        return pf_data(self.matrix)
+
+    @cached_property
+    def seed(self) -> FixedPointSeed:
+        return self._seed or fixed_point_seed(self.substitution)
+
+    def prefix(self, n: int) -> str:
+        """The first n letters of the fixed word."""
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
+        if len(self._word) < n:
+            self._stream = self._stream or fixed_word(self.substitution, self.seed)
+            self._word += "".join(islice(self._stream, n - len(self._word)))
+        return self._word[:n]
+
+    def letters(self) -> Iterator[str]:
+        """The fixed word letter by letter, read through the prefix."""
+        done = 0
+        while True:
+            chunk = self.prefix(max(2 * done, self.need, 1))[done:]
+            yield from chunk
+            done += len(chunk)
+
+    @cached_property
+    def extended_prefix(self) -> str:
+        """sigma**power of the first `need` letters: a longer prefix."""
+        lengths = self.substitution.image_lengths(self.seed.power)
+        return self.prefix(sum(lengths[ch] for ch in self.prefix(self.need)))
+
+    def indicator(self, letter: str) -> list[int]:
+        """0/1 sequence of the letter over the first `need` letters."""
+        return [int(ch == letter) for ch in self.prefix(self.need)]
+
+    def raw_witness(self, letter: str) -> Optional[PeriodWitness]:
+        """`detect_period` on the letter's `indicator`."""
+        if letter not in self._raw:
+            self._raw[letter] = detect_period(self.indicator(letter), *self.bounds)
+        return self._raw[letter]
+
+    @cached_property
+    def witnesses(self) -> dict[str, Optional[PeriodWitness]]:
+        """Each letter's raw witness if it also explains the extended prefix."""
+        out = {a: self.raw_witness(a) for a in self.substitution.alphabet}
+        for a, w in out.items():
+            if w and not verify_witness([int(ch == a) for ch in self.extended_prefix], w):
+                out[a] = None
+        return out
+
+    @cached_property
+    def verdict(self) -> AperiodicityVerdict:
+        """An irrational dominant eigenvalue proves aperiodicity.  Otherwise
+        a word-level witness counts once it also explains the extended prefix
+        (self-similarity); all else is inconclusive, not aperiodic."""
+        if not self.pf.is_rational:
+            return AperiodicByIrrationalPF()
+        w = detect_period(self.prefix(self.need), *self.bounds)
+        if w and verify_witness(self.extended_prefix, w):
+            return EventuallyPeriodic(w.preperiod, w.period)
+        return InconclusiveUpTo(*self.bounds)

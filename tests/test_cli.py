@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from subgf import periodicity, substitutions
 from subgf.cli import main
 from subgf.serialize import canonical_dumps
 
@@ -134,6 +136,39 @@ class TestAnalyze:
     def test_strict_conclusive(self, capsys):
         code, _, _ = run(capsys, "analyze", str(DATA / "fib.sub"), "--strict")
         assert code == 0
+
+    def test_order_option_removed(self, capsys):
+        code, _, err = run(capsys, "analyze", str(DATA / "fib.sub"), "--order", "5")
+        assert code == 1
+        assert "--order" in err
+
+    @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
+    def test_each_fact_computed_once(self, capsys, monkeypatch, name):
+        counts = {}
+        for module, attr in ((substitutions, "pf_data"),
+                             (substitutions, "characteristic_polynomial"),
+                             (substitutions, "fixed_word"),
+                             (periodicity, "detect_period")):
+            counts[attr] = 0
+            original = getattr(module, attr)
+
+            def counted(*args, _original=original, _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _original(*args, **kwargs)
+
+            # rebind every alias made by `from .x import y` as well
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "subgf":
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, counted)
+        code, out, _ = run(capsys, "analyze", str(DATA / f"{name}.sub"))
+        assert out == (GOLDEN / f"{name}.json").read_text()
+        k = len(json.loads(out)["substitution"]["alphabet"])
+        assert counts["pf_data"] == 1
+        assert counts["characteristic_polynomial"] == 1
+        assert counts["fixed_word"] <= 1
+        assert counts["detect_period"] <= 2 * k + 1
 
 
 def test_module_entry_point():

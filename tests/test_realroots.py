@@ -18,7 +18,6 @@ from subgf.realroots import (
     certify_positive,
     count_roots,
     isolate_max_root,
-    nudge_off_root,
     separate_max_root,
     sturm_chain,
 )
@@ -67,12 +66,10 @@ def test_counts():
 def test_level_one_pair_polynomial_counts():
     chain = sturm_chain(R1)
     assert chain.count(F(-1), F(0)) == 1
-    # S1 vanishes at -1 itself: the endpoint must be stepped inside first
-    s_chain = sturm_chain(S1)
+    # S1 vanishes at -1 itself: that root must be divided out first
     with pytest.raises(EndpointIsRootError):
-        s_chain.count(F(-1), F(0))
-    inside = nudge_off_root(s_chain, F(-1), F(0))
-    assert s_chain.count(inside, F(0)) == 0
+        sturm_chain(S1).count(F(-1), F(0))
+    assert RootIsolator(S1).without_root(F(-1)).count(F(-1), F(0)) == 0
     assert sturm_chain(T1).count(F(-1), F(0)) == 0
 
 
@@ -152,6 +149,16 @@ def test_count_matches_known_roots_on_random_polynomials():
             assert chain.count(a, b) == expected
 
 
+def _step_off_root(chain, x, toward):
+    """Move x toward `toward` in doubling steps from 2**-64 of the gap until
+    the chain no longer vanishes there."""
+    step = (toward - x) / 2**64
+    while chain.sign_at(x) == 0:
+        x += step
+        step *= 2
+    return x
+
+
 def test_count_matches_grid_sign_scan():
     # roots separated far beyond the grid spacing, so scanning signs at
     # 10**4 points sees every crossing exactly once
@@ -167,7 +174,7 @@ def test_count_matches_grid_sign_scan():
         chain = sturm_chain(poly)
         lo, hi = F(-4), F(4)
         if chain.sign_at(lo) == 0:
-            lo = nudge_off_root(chain, lo, hi)
+            lo = _step_off_root(chain, lo, hi)
         step = (hi - lo) / grid
         crossings = 0
         prev = None

@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
+from sympy import Matrix, symbols
 
 from subgf.errors import (
     DuplicateRuleError,
     EmptyImageError,
+    InsufficientOccurrencesError,
     NoGrowingFixedPointError,
     NotPrimitiveError,
     RuleSyntaxError,
     UnknownLetterError,
     WrongAlphabetSizeError,
 )
+from subgf.genfun import _scan_positions, position_series
 from subgf.polynomials import ExactPolynomial as P
 from subgf.substitutions import (
+    Analysis,
     AperiodicByIrrationalPF,
     EventuallyPeriodic,
     FixedPointSeed,
@@ -169,6 +174,18 @@ class TestPFData:
         m = SubstitutionMatrix(((2, 1), (1, 2)))
         assert characteristic_polynomial(m) == P([3, -4, 1])
 
+    def test_char_poly_matches_sympy(self):
+        x = symbols("x")
+        rng = random.Random(2024)
+        for trial in range(120):
+            k = trial % 6 + 1
+            rows = [[rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(k)] for _ in range(k)]
+            for i, row in enumerate(rows):
+                row[i] += sum(row) == 0  # every row must sum to at least 1
+            expected = Matrix(rows).charpoly(x).all_coeffs()
+            got = characteristic_polynomial(SubstitutionMatrix(tuple(map(tuple, rows))))
+            assert got == P([int(c) for c in reversed(expected)])
+
 
 class TestFixedPoints:
     def test_seeds(self, fib, xyz):
@@ -258,3 +275,70 @@ def test_substitution_validation():
         Substitution.from_rules({"a": "ax"})
     with pytest.raises(ValueError):
         Substitution(parse_substitution("a->a").alphabet, ("a", "a"))
+
+
+def _random_seeded_substitutions(rng, count):
+    """(substitution, seed) pairs: primitive ones with their fixed-point
+    seed, and non-primitive ones with an explicit seed, whose fixed word can
+    hold a letter rarely or not at all."""
+    out = []
+    while len(out) < count:
+        k = rng.randint(2, 4)
+        letters = "abcd"[:k]
+        images = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+                  for _ in letters]
+        s = Substitution.from_rules(dict(zip(letters, images)))
+        if is_primitive(substitution_matrix(s)) is not None:
+            try:
+                seed = fixed_point_seed(s)
+            except NoGrowingFixedPointError:
+                continue
+        elif images[0].startswith("a") and len(images[0]) >= 2:
+            seed = FixedPointSeed(1, "a")
+        else:
+            continue
+        if seed.power <= 3:
+            out.append((s, seed))
+    return out
+
+
+class TestAnalysisPrefix:
+    """The one growing prefix of an Analysis against independent streams and
+    brute-force expansion."""
+
+    def cases(self, corpus):
+        rng = random.Random(77)
+        cases = [(s, fixed_point_seed(s)) for s in corpus.values()]
+        cases += [(parse_substitution("a->ab\nb->bb"), FixedPointSeed(1, "a")),
+                  (parse_substitution("a->aab\nb->b\nc->c"), FixedPointSeed(1, "a"))]
+        return cases + _random_seeded_substitutions(rng, 40)
+
+    def test_prefixes_match_streams_and_brute_force(self, corpus):
+        for s, seed in self.cases(corpus):
+            for bounds in ((4, 2), (30, 7)):
+                analysis = Analysis(s, seed, bounds)
+                base = analysis.prefix(analysis.need)
+                assert base == fixed_word_prefix(s, seed, bounds[0] + 10 * bounds[1])
+                extended = analysis.extended_prefix
+                assert extended == s.apply_power(base, seed.power)
+                assert extended == fixed_word_prefix(s, seed, len(extended))
+                for n in (0, 1, 17, len(extended) + 9):
+                    assert analysis.prefix(n) == fixed_word_prefix(s, seed, n)
+
+    def test_positions_match_position_series(self, corpus):
+        raised = 0
+        for s, seed in self.cases(corpus):
+            analysis = Analysis(s, seed, (5, 3))
+            for letter in s.alphabet:
+                try:
+                    expected = position_series(s, seed, letter, analysis.need)
+                except InsufficientOccurrencesError:
+                    raised += 1
+                    with pytest.raises(InsufficientOccurrencesError):
+                        _scan_positions(s, analysis.letters(), letter, analysis.need)
+                    continue
+                got = _scan_positions(s, analysis.letters(), letter, analysis.need)
+                assert got == expected
+            # the scans read the one prefix, which is still the fixed word
+            assert analysis.prefix(999) == fixed_word_prefix(s, seed, 999)
+        assert raised >= 2
