@@ -15,8 +15,8 @@ from .errors import RuleSyntaxError, SubgfError
 from .genfun import (
     CHARACTERISTIC,
     POSITION,
-    char_series,
-    position_series,
+    _char_series,
+    _scan_positions,
     rational_form_from_witness,
     series_verdict_of,
 )
@@ -34,16 +34,14 @@ from .serialize import (
     witness_json,
 )
 from .substitutions import (
+    DEFAULT_BOUNDS,
     Analysis,
     InconclusiveUpTo,
-    fixed_point_seed,
-    fixed_word_prefix,
     parse_substitution,
 )
 
 DEFAULT_ORDER = 2048
-DEFAULT_MAX_PREPERIOD = 1000
-DEFAULT_MAX_PERIOD = 200
+DEFAULT_MAX_PREPERIOD, DEFAULT_MAX_PERIOD = DEFAULT_BOUNDS
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -137,19 +135,16 @@ def _classification_json(cls) -> dict:
 
 
 def _expand(args) -> int:
-    s = _load(args.file)
-    seed = fixed_point_seed(s)
-    print(fixed_word_prefix(s, seed, args.n))
+    print(Analysis(_load(args.file)).prefix(args.n))
     return EXIT_OK
 
 
 def _series(args) -> int:
-    s = _load(args.file)
-    seed = fixed_point_seed(s)
+    analysis = Analysis(_load(args.file))
     if args.kind == "char":
-        ts = char_series(s, seed, args.letter, args.order)
+        ts = _char_series(analysis, args.letter, args.order)
     else:
-        ts = position_series(s, seed, args.letter, args.order)
+        ts = _scan_positions(analysis, args.letter, args.order)
     if args.format == "json":
         payload = {
             "letter": args.letter,
@@ -211,9 +206,9 @@ def _roots(args) -> int:
 
 def _geom(args) -> int:
     s = _load(args.file)
-    seed = fixed_point_seed(s)
+    analysis = Analysis(s)
     if args.lengths == "natural":
-        lengths = geometric.natural_lengths(s)
+        lengths = geometric.natural_lengths_of(analysis)
         table = lengths.by_letter
         exact = lengths.exact
         radicand = lengths.radicand
@@ -226,25 +221,25 @@ def _geom(args) -> int:
         table = {a: Fraction(p) for a, p in zip(s.alphabet, parts)}
         exact = True
         radicand = None
-    points = geometric.endpoint_sequence(s, seed, table, args.order)
+    prefix = analysis.prefix(args.order)
+    points = geometric._endpoints(s, table, prefix)
     if args.format == "csv":
         print("index,exact,decimal50")
         for i, t in enumerate(points):
             print(f"{i},{value_str(t).replace(' ', '')},{value_decimal(t, 50)}")
         return EXIT_OK
-    identity_ok = geometric.geometric_identity_ok(s, seed, table, args.order)
     payload = {
         "lengths": {a: quadratic_json(v) for a, v in table.items()},
         "exact": exact,
         "radicand": radicand,
         "order": args.order,
-        "identity_ok": identity_ok,
+        "identity_ok": geometric.geometric_identity_ok(points, prefix, table),
         "endpoints_preview": [value_str(t) for t in points[: min(8, len(points))]],
         "classification": None,
     }
     inconclusive = False
     if len(s.alphabet) == 2:
-        cls = geometric.classify_two_letter(s, seed, table)
+        cls = geometric.classify_two_letter_of(analysis, table)
         payload["classification"] = _classification_json(cls)
         inconclusive = cls.case == "inconclusive"
     print(canonical_dumps(payload))

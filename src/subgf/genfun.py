@@ -2,15 +2,18 @@
 prefix polynomials, concatenation and recursion laws, differencing and
 summatory transforms, periodicity certificates, and rationality verdicts.
 
-The verdicts read PF data, prefixes, witnesses, positions and the
-aperiodicity verdict from a `substitutions.Analysis`, which derives each once.
+Series, positions and verdicts read the prefix, PF data, witnesses and the
+aperiodicity verdict from a `substitutions.Analysis`, which derives each once;
+the public `(s, seed)` forms build a fresh one.
 
-Everything here is exact rational arithmetic; there is no floating point.
+Everything here is exact: integer series stay integers, weights and
+certificates are rationals, and there is no floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice
 from typing import Optional, Union
 
 from .errors import (
@@ -29,11 +32,6 @@ from .substitutions import (
     FixedPointSeed,
     InconclusiveUpTo,
     Substitution,
-    fixed_word,
-    fixed_word_prefix,
-    gap_bound,
-    is_primitive,
-    substitution_matrix,
 )
 
 
@@ -42,7 +40,7 @@ class TruncatedSeries:
     """First order+1 coefficients of a formal power series."""
 
     order: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple
 
     def __post_init__(self):
         if len(self.coefficients) != self.order + 1:
@@ -50,10 +48,10 @@ class TruncatedSeries:
 
     @classmethod
     def from_coefficients(cls, coeffs) -> TruncatedSeries:
-        cs = tuple(_frac(c) for c in coeffs)
+        cs = tuple(coeffs)
         return cls(len(cs) - 1, cs)
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int):
         return self.coefficients[n]
 
 
@@ -75,9 +73,14 @@ def position_prefix_poly(word: str, letter: str) -> ExactPolynomial:
 def char_series(
     s: Substitution, seed: FixedPointSeed, letter: str, order: int
 ) -> TruncatedSeries:
-    if letter not in s.alphabet:
+    """`_char_series` on a fresh `Analysis(s, seed)`."""
+    return _char_series(Analysis(s, seed), letter, order)
+
+
+def _char_series(analysis: Analysis, letter: str, order: int) -> TruncatedSeries:
+    if letter not in analysis.substitution.alphabet:
         raise KeyError(f"letter {letter!r} not in alphabet")
-    prefix = fixed_word_prefix(s, seed, order + 1)
+    prefix = analysis.prefix(order + 1)
     return TruncatedSeries.from_coefficients(int(ch == letter) for ch in prefix)
 
 
@@ -88,7 +91,7 @@ def weighted_series(
     if set(weights) != set(s.alphabet.letters):
         raise ValueError("weighting must cover exactly the alphabet")
     table = {a: _frac(weights[a]) for a in s.alphabet}
-    prefix = fixed_word_prefix(s, seed, order + 1)
+    prefix = Analysis(s, seed).prefix(order + 1)
     return TruncatedSeries.from_coefficients(table[ch] for ch in prefix)
 
 
@@ -101,34 +104,38 @@ def position_series(
 ) -> TruncatedSeries:
     """First n_terms occurrence positions, as coefficients of X**1..X**n_terms
     with constant term 0."""
-    return _scan_positions(s, fixed_word(s, seed), letter, n_terms, scan_bound)
+    return _scan_positions(Analysis(s, seed), letter, n_terms, scan_bound)
 
 
-def _scan_positions(s, letters, letter, n_terms, scan_bound=None) -> TruncatedSeries:
-    """`position_series` over a stream of the fixed word's letters."""
+def _scan_positions(analysis, letter, n_terms, scan_bound=None) -> TruncatedSeries:
+    """`position_series` on an Analysis, found in C over doubling prefixes of
+    its word and never past scan_bound letters (by default the gap bound,
+    twice the longest image at the primitivity witness, times n_terms + 2)."""
+    s = analysis.substitution
     if letter not in s.alphabet:
         raise KeyError(f"letter {letter!r} not in alphabet")
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    if n_terms == 0:
-        return TruncatedSeries.from_coefficients([0])
     if scan_bound is None:
-        if len(s.alphabet) >= 2 and is_primitive(substitution_matrix(s)) is not None:
-            scan_bound = gap_bound(s) * (n_terms + 2)
+        witness = analysis.primitivity_witness
+        if len(s.alphabet) >= 2 and witness is not None:
+            scan_bound = 2 * max(s.image_lengths(witness).values()) * (n_terms + 2)
         else:
             scan_bound = 4 * n_terms + 64
     coeffs = [0]
-    for i, ch in enumerate(letters):
-        if i >= scan_bound:
-            break
-        if ch == letter:
-            coeffs.append(i)
-            if len(coeffs) == n_terms + 1:
-                return TruncatedSeries.from_coefficients(coeffs)
-    raise InsufficientOccurrencesError(
-        f"found only {len(coeffs) - 1} of {n_terms} occurrences of {letter!r} "
-        f"within {scan_bound} letters"
-    )
+    done, end = 0, max(0, min(n_terms, scan_bound))
+    while True:
+        word = analysis.prefix(end)
+        hits = compress(count(done), map(letter.__eq__, word[done:]))
+        coeffs += islice(hits, n_terms + 1 - len(coeffs))
+        if len(coeffs) == n_terms + 1:
+            return TruncatedSeries.from_coefficients(coeffs)
+        if end >= scan_bound:
+            raise InsufficientOccurrencesError(
+                f"found only {len(coeffs) - 1} of {n_terms} occurrences of "
+                f"{letter!r} within {scan_bound} letters"
+            )
+        done, end = end, min(2 * end, scan_bound)
 
 
 def concat_char(
@@ -253,7 +260,7 @@ def difference_transform(ts: TruncatedSeries, m: int) -> TruncatedSeries:
 
 def summatory_transform(ts: TruncatedSeries) -> TruncatedSeries:
     out = []
-    acc = Fraction(0)
+    acc = 0
     for c in ts.coefficients:
         acc += c
         out.append(acc)
@@ -290,7 +297,7 @@ class RationalForm:
 def rational_form_from_witness(coeffs, witness: PeriodWitness) -> RationalForm:
     """Certificate numerator/(1 - X**d) built from a verified witness: the
     preperiodic head times (1 - X**d) plus the shifted period block."""
-    seq = [_frac(c) for c in coeffs]
+    seq = list(coeffs)
     n0, d = witness.preperiod, witness.period
     if len(seq) < n0 + 2 * d or not verify_witness(seq, witness):
         raise WitnessInvalidError(f"witness {witness} does not hold on the data")
@@ -365,7 +372,7 @@ def series_verdict_of(
         # sequence take finitely many values), detect, then multiply the
         # certificate back by 1/(1 - X)
         try:
-            pos = _scan_positions(s, analysis.letters(), letter, analysis.need)
+            pos = _scan_positions(analysis, letter, analysis.need)
         except InsufficientOccurrencesError:
             return inconclusive
         diff = difference_transform(pos, 1)

@@ -19,13 +19,13 @@ from .genfun import RationalForm, rational_form_from_witness
 from .polynomials import ExactPolynomial
 from .quadratic import QuadraticReal
 from .substitutions import (
+    DEFAULT_BOUNDS,
     AperiodicByIrrationalPF,
     Analysis,
     EventuallyPeriodic,
     FixedPointSeed,
     PFData,
     Substitution,
-    fixed_word_prefix,
 )
 
 TileLength = Union[Fraction, QuadraticReal]
@@ -183,7 +183,7 @@ def endpoint_sequence(
     s: Substitution, seed: FixedPointSeed, lengths, n: int
 ) -> list[TileLength]:
     """t_0 = 0 and t_{m+1} = t_m + length of the m-th tile; n+1 values."""
-    return _endpoints(s, lengths, fixed_word_prefix(s, seed, n))
+    return _endpoints(s, lengths, Analysis(s, seed).prefix(n))
 
 
 def _endpoints(s: Substitution, lengths, prefix: str) -> list[TileLength]:
@@ -215,19 +215,14 @@ def geometric_series(
     return GeometricSeries(order, tuple(points), dict(table))
 
 
-def geometric_identity_ok(
-    s: Substitution, seed: FixedPointSeed, lengths, order: int
-) -> bool:
+def geometric_identity_ok(points: list, prefix: str, lengths) -> bool:
     """Coefficientwise check that (1 - X) * G equals X * C_g on the
-    truncation: successive endpoint differences are the tile lengths."""
+    truncation: the endpoints of `prefix` start at 0 and their successive
+    differences are the tile lengths."""
     table = _length_map(lengths)
-    points = endpoint_sequence(s, seed, table, order)
-    prefix = fixed_word_prefix(s, seed, order)
-    if points[0] != 0:
+    if len(points) != len(prefix) + 1 or points[0] != 0:
         return False
-    return all(
-        points[m + 1] - points[m] == table[prefix[m]] for m in range(order)
-    )
+    return all(b - a == table[ch] for a, b, ch in zip(points, points[1:], prefix))
 
 
 @dataclass(frozen=True)
@@ -249,7 +244,7 @@ def reduce_two_letter(
         raise WrongAlphabetSizeError("reduction requires exactly two letters")
     first, second = s.alphabet.letters
     g1, g2 = table[first], table[second]
-    prefix = fixed_word_prefix(s, seed, order + 1)
+    prefix = Analysis(s, seed).prefix(order + 1)
     diff = g1 - g2
     verified = all(
         table[ch] == diff * int(ch == first) + g2 for ch in prefix
@@ -278,7 +273,7 @@ def classify_two_letter(
     s: Substitution,
     seed: FixedPointSeed,
     lengths,
-    bounds: tuple[int, int] = (1000, 200),
+    bounds: tuple[int, int] = DEFAULT_BOUNDS,
     check_order: int = 1000,
 ) -> TwoLetterClassification:
     """`classify_two_letter_of` on a fresh `Analysis(s, seed, bounds)`."""

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 from .errors import (
@@ -414,42 +414,40 @@ def fixed_point_seed(s: Substitution) -> FixedPointSeed:
     raise NoGrowingFixedPointError("no growing fixed point exists")
 
 
-def fixed_word(s: Substitution, seed: FixedPointSeed) -> Iterator[str]:
-    """Letters of the one-sided fixed word, streamed lazily.
+_PIECE = 4096  # letters of B_k whose images make one piece of B_{k+1}
 
-    The word is emitted as start_letter, then u, sigma^p(u), sigma^{2p}(u),
-    ... where sigma^p(start_letter) = start_letter + u.  Each block is
-    expanded with an explicit stack, so memory stays proportional to the
-    expansion depth and each letter costs amortized O(1).
-    """
+
+def _blocks(s: Substitution, seed: FixedPointSeed) -> Iterator[str]:
+    """The fixed word in pieces: start_letter, then the blocks B_0 = u and
+    B_{k+1} = sigma^p(B_k), where sigma^p(start_letter) = start_letter + u.
+    Each block is yielded as the images of _PIECE letters of the one before,
+    so a reader overshoots by at most one such piece."""
     p, a0 = seed.power, seed.start_letter
     table = {a: s.apply_power(a, p) for a in s.alphabet}
     head = table[a0]
     if not head.startswith(a0) or len(head) < 2:
         raise ValueError("invalid seed for this substitution")
-    tail = head[1:]
     yield a0
-    level = 0
+    block = head[1:]
+    yield block
     while True:
-        stack = [(tail, 0, level)]
-        while stack:
-            word, idx, lev = stack[-1]
-            if idx == len(word):
-                stack.pop()
-                continue
-            stack[-1] = (word, idx + 1, lev)
-            ch = word[idx]
-            if lev == 0:
-                yield ch
-            else:
-                stack.append((table[ch], 0, lev - 1))
-        level += 1
+        pieces = []
+        for i in range(0, len(block), _PIECE):
+            pieces.append("".join(map(table.__getitem__, block[i : i + _PIECE])))
+            yield pieces[-1]
+        block = "".join(pieces)
+
+
+def fixed_word(s: Substitution, seed: FixedPointSeed) -> Iterator[str]:
+    """Letters of the one-sided fixed word, streamed lazily from `_blocks`:
+    memory is proportional to the letters read plus one piece, and each
+    letter costs amortized O(1)."""
+    return chain.from_iterable(_blocks(s, seed))
 
 
 def fixed_word_prefix(s: Substitution, seed: FixedPointSeed, n: int) -> str:
-    if n < 0:
-        raise ValueError("prefix length must be >= 0")
-    return "".join(islice(fixed_word(s, seed), n))
+    """`Analysis.prefix` on a fresh `Analysis(s, seed)`."""
+    return Analysis(s, seed).prefix(n)
 
 
 def gap_bound(s: Substitution) -> int:
@@ -485,14 +483,16 @@ class InconclusiveUpTo:
 AperiodicityVerdict = Union[AperiodicByIrrationalPF, EventuallyPeriodic, InconclusiveUpTo]
 
 
+DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
+
+
 def aperiodicity_verdict(
-    s: Substitution, prefix_bound: int = 1000, period_bound: int = 200
+    s: Substitution,
+    prefix_bound: int = DEFAULT_BOUNDS[0],
+    period_bound: int = DEFAULT_BOUNDS[1],
 ) -> AperiodicityVerdict:
     """`Analysis.verdict` for the fixed word of `fixed_point_seed(s)`."""
     return Analysis(s, None, (prefix_bound, period_bound)).verdict
-
-
-DEFAULT_BOUNDS = (1000, 200)
 
 
 class Analysis:
@@ -503,7 +503,7 @@ class Analysis:
     def __init__(self, s: Substitution, seed=None, bounds=DEFAULT_BOUNDS):
         self.substitution, self.bounds, self._seed = s, bounds, seed
         self.need = bounds[0] + 10 * bounds[1]  # base prefix for detect_period
-        self._word, self._stream = "", None
+        self._word, self._pieces = "", None
         self._raw: dict[str, Optional[PeriodWitness]] = {}
 
     @cached_property
@@ -523,21 +523,20 @@ class Analysis:
         return self._seed or fixed_point_seed(self.substitution)
 
     def prefix(self, n: int) -> str:
-        """The first n letters of the fixed word."""
+        """The first n letters of the fixed word; resolves the seed even if n = 0."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
+        seed = self.seed
         if len(self._word) < n:
-            self._stream = self._stream or fixed_word(self.substitution, self.seed)
-            self._word += "".join(islice(self._stream, n - len(self._word)))
+            self._pieces = self._pieces or _blocks(self.substitution, seed)
+            parts, have = [self._word], len(self._word)
+            for piece in self._pieces:
+                parts.append(piece)
+                have += len(piece)
+                if have >= n:
+                    break
+            self._word = "".join(parts)
         return self._word[:n]
-
-    def letters(self) -> Iterator[str]:
-        """The fixed word letter by letter, read through the prefix."""
-        done = 0
-        while True:
-            chunk = self.prefix(max(2 * done, self.need, 1))[done:]
-            yield from chunk
-            done += len(chunk)
 
     @cached_property
     def extended_prefix(self) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -144,31 +145,187 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
     def test_each_fact_computed_once(self, capsys, monkeypatch, name):
-        counts = {}
-        for module, attr in ((substitutions, "pf_data"),
-                             (substitutions, "characteristic_polynomial"),
-                             (substitutions, "fixed_word"),
-                             (periodicity, "detect_period")):
-            counts[attr] = 0
-            original = getattr(module, attr)
-
-            def counted(*args, _original=original, _attr=attr, **kwargs):
-                counts[_attr] += 1
-                return _original(*args, **kwargs)
-
-            # rebind every alias made by `from .x import y` as well
-            for mod_name, mod in list(sys.modules.items()):
-                if mod_name.split(".")[0] == "subgf":
-                    for key, value in list(vars(mod).items()):
-                        if value is original:
-                            monkeypatch.setattr(mod, key, counted)
+        counts = _count_facts(monkeypatch)
         code, out, _ = run(capsys, "analyze", str(DATA / f"{name}.sub"))
         assert out == (GOLDEN / f"{name}.json").read_text()
         k = len(json.loads(out)["substitution"]["alphabet"])
         assert counts["pf_data"] == 1
         assert counts["characteristic_polynomial"] == 1
-        assert counts["fixed_word"] <= 1
+        assert counts["_blocks"] == 1
         assert counts["detect_period"] <= 2 * k + 1
+
+
+def _count_facts(monkeypatch) -> dict:
+    """Counters rebound around the fact-deriving functions, in every module
+    alias made by `from .x import y` as well; `_blocks` counts fixed-word
+    streams."""
+    counts = {}
+    for module, attr in ((substitutions, "pf_data"),
+                         (substitutions, "characteristic_polynomial"),
+                         (substitutions, "_blocks"),
+                         (periodicity, "detect_period")):
+        counts[attr] = 0
+        original = getattr(module, attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "subgf":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [
+    ["geom", "fib", "--order", "2000"],
+    ["geom", "fib", "--order", "2000", "--format", "csv"],
+    ["geom", "xyz", "--order", "2000"],
+    ["geom", "abab", "--order", "300", "--lengths", "2,1"],
+    ["series", "xyz", "--letter", "z", "--order", "2000"],
+    ["series", "xyz", "--letter", "z", "--kind", "pos", "--order", "2000"],
+    ["series", "fib", "--letter", "b", "--kind", "pos", "--format", "csv"],
+    ["expand", "thue_morse", "--n", "5000"],
+    ["period", "xyz", "--letter", "y"],
+], ids=" ".join)
+def test_each_subcommand_reads_one_analysis(capsys, monkeypatch, argv):
+    verb, name, *rest = argv
+    counts = _count_facts(monkeypatch)
+    code, _, _ = run(capsys, verb, str(DATA / f"{name}.sub"), *rest)
+    assert code == 0
+    assert counts["pf_data"] <= 1
+    assert counts["characteristic_polynomial"] <= 1
+    assert counts["_blocks"] == 1
+
+
+# stdout sha256 of each command on the corpus at order (or n) 5000, every one
+# exiting 0: any change to these bytes is a change of output
+STDOUT_SHA256 = {
+    "expand fib --n 5000":
+        "5bd69b6f25d798547d6d3eeab146a82455ebdb3e76b1dabb7746c142e34d3be9",
+    "series fib --letter a --kind char --order 5000 --format json":
+        "5766b093c51e0dbb3f15dd90dd1c5e02607591060952658b71e9f028459c07c5",
+    "series fib --letter a --kind char --order 5000 --format csv":
+        "8c0e307187bbf2718149cb244c2c93cc774e7ee565735e5d7e290a03ba784670",
+    "series fib --letter a --kind pos --order 5000 --format json":
+        "c2b6eb0dfb2f2732d5c8f1a92b6edaa9f5401d7a929c156f538739d99bc16b43",
+    "series fib --letter a --kind pos --order 5000 --format csv":
+        "1006267c1ece77b56c31ed44461edb976f0bd60d0b62c91d1c59e2e84933e52e",
+    "period fib --letter a":
+        "132197ac7a4fe239fb575101d474581f7a8aa3bba52651d65549302fff738b2e",
+    "series fib --letter b --kind char --order 5000 --format json":
+        "5d3b6fa3526fc11f97815e2b5154a5a9968da1cacbe5563a8714c7651b281581",
+    "series fib --letter b --kind char --order 5000 --format csv":
+        "1ee5a4f98f52a89e1aa8ec8ee9754fd64b8290e7c1d25ffa106af3393552affc",
+    "series fib --letter b --kind pos --order 5000 --format json":
+        "03d54b84b3da0285eca934231cf5e46c6b839bb76f633a9a423f31428f50d38c",
+    "series fib --letter b --kind pos --order 5000 --format csv":
+        "d2ea2c87ed6b0e9732dbbbdfd0487586c4983c2129e6e66377817da4afdf8d2f",
+    "period fib --letter b":
+        "a26eb0c7f1a460ca94cad68f551a44c76c98e6d292c35cb17ec421919302f149",
+    "geom fib --order 5000 --format json":
+        "3b9663e4d6efbf8a9263b8621fd0cf19511df7fcc4938ca4836fe51af787615b",
+    "geom fib --order 5000 --format csv":
+        "8702905021eb2558b0c88f3247734d2766b81febab0c814b9c8c72b1e93ab130",
+    "expand xyz --n 5000":
+        "9c38ce022718cf341c6e3bbc031057aaf2b6a875c4f65108c204dfc364c8109c",
+    "series xyz --letter x --kind char --order 5000 --format json":
+        "0e312a630655349d70547626538b5cd109d0b2360f5ad93712dc1092094485b5",
+    "series xyz --letter x --kind char --order 5000 --format csv":
+        "2f7288faf4a5b8b6fa932ed1cb4c08a865e8154c5464c210f59cba6c0cfffa93",
+    "series xyz --letter x --kind pos --order 5000 --format json":
+        "f74eb5a0d5598963528bf0f63defcc5b7fc8cb6ee2a16c497e1286298ca3b32a",
+    "series xyz --letter x --kind pos --order 5000 --format csv":
+        "f83b227811a1ef8f7931bd10f53bdddd44a3884dedf5164199c2c67634e925b3",
+    "period xyz --letter x":
+        "a3124703dd1abbc5f92ab4cfb9694ae592e8a584d86aa5538872e5c57533ac19",
+    "series xyz --letter y --kind char --order 5000 --format json":
+        "e8e47868423e1fdb9918cff874aa66d072ccacecb8f5901f3d60331ff2e90b52",
+    "series xyz --letter y --kind char --order 5000 --format csv":
+        "bb45f91348351e8d63bdeaa7985fd10f2c7d971e8fb7309f6896e4fcef72e522",
+    "series xyz --letter y --kind pos --order 5000 --format json":
+        "3c6e93fa0ccb0d09532d22b54e92dfdc28ad73121b1edf559d5cc90969ef190d",
+    "series xyz --letter y --kind pos --order 5000 --format csv":
+        "49d7baa8fa0e163eda441285de1f3a7c6d9cd5bcef26d611e04b15c1f4009e85",
+    "period xyz --letter y":
+        "bc9c436b3c1972d6c496d2cc627075108891784d58cac90af0a3cfcce4dea1c4",
+    "series xyz --letter z --kind char --order 5000 --format json":
+        "9c27b6d5e0a38297d2d9d5bc2c54992ac607e57a9c531e613a08fba6e617f47c",
+    "series xyz --letter z --kind char --order 5000 --format csv":
+        "08db9139036b7929defee628299626ce161f317dea0bfc48eab9e2563c488fa9",
+    "series xyz --letter z --kind pos --order 5000 --format json":
+        "bc3210d59a964ea8cc54a286e50d5bf0be30034361449a079b66716831662463",
+    "series xyz --letter z --kind pos --order 5000 --format csv":
+        "2f35ada86c59c61cce9dc78fa1788d5f48714dd29e641c8673d7084ca015292a",
+    "period xyz --letter z":
+        "656eba38c1009a2da99aa287c0dbe8866bbfeef9b589933868b8bac4079e60e2",
+    "geom xyz --order 5000 --format json":
+        "76df68a07087ffd6a181116c095c775d1979267aea997f9ff09dca5b90e55515",
+    "geom xyz --order 5000 --format csv":
+        "a279ad0b17b6a9aeffd56dcf338bf298abd4f9d296c6bc722478a8bb38d4fc04",
+    "expand abab --n 5000":
+        "25ef6516d655e19fe5b6276eb3b18ccf61e4b8d1bda09fae6767736e24191084",
+    "series abab --letter a --kind char --order 5000 --format json":
+        "c8bd810e3bb2c386dcb190f76c88db55d8237b4a9baeed7670a90e492915f3ac",
+    "series abab --letter a --kind char --order 5000 --format csv":
+        "cb146fed530a0ab6e6287cb3df26c3ba2aba893502a5061645a87dd155491e28",
+    "series abab --letter a --kind pos --order 5000 --format json":
+        "eea6940ec5fb012faf2a8c23d2b7042b47f4774fa25f882cc5c3b4a9b5793e39",
+    "series abab --letter a --kind pos --order 5000 --format csv":
+        "61d60d0d0b3304dc56485e755bc09c5be4f70d78912c48f5d57ca0da51ac3b55",
+    "period abab --letter a":
+        "b545e706937c0db1106d29e426e2ec5f6d21241d2db720bdbcaadf616c6b3897",
+    "series abab --letter b --kind char --order 5000 --format json":
+        "a331c3678f7eb8304c3b8674168231ce15154226d40baf5ab7156a096585812c",
+    "series abab --letter b --kind char --order 5000 --format csv":
+        "bb45f91348351e8d63bdeaa7985fd10f2c7d971e8fb7309f6896e4fcef72e522",
+    "series abab --letter b --kind pos --order 5000 --format json":
+        "b12f31ab08b393cf5f6a1f1bda731cfaa0732decda1e46d45bda04ff8beffcfb",
+    "series abab --letter b --kind pos --order 5000 --format csv":
+        "49d7baa8fa0e163eda441285de1f3a7c6d9cd5bcef26d611e04b15c1f4009e85",
+    "period abab --letter b":
+        "5dedd96df567f740566826fd7d54e0fac57a60a4247f00ec682e17197c34fc88",
+    "geom abab --order 5000 --format json":
+        "d19f7b538606eb5f7f706c8a4e95de82409d9bf9b931cc08e59cf5c72363b997",
+    "geom abab --order 5000 --format csv":
+        "29fcba2d2d73b3cc603a19799fedf220bc7260fd95b433d4d200165132dff2d3",
+    "expand thue_morse --n 5000":
+        "4a905707e7d4a7a7250e423cda0203acbd9dab76b181786931e4821dda5eef9e",
+    "series thue_morse --letter a --kind char --order 5000 --format json":
+        "4e1ebc12339c6b216cf08951a97739b361503098ad1dfd9d4f68156ed9fe8e42",
+    "series thue_morse --letter a --kind char --order 5000 --format csv":
+        "d70b0c02d0af3ef1956a7b74e2d60fc364251aec1c752a7dd2f75131fb05b28a",
+    "series thue_morse --letter a --kind pos --order 5000 --format json":
+        "ea2dfdb51d9e16b226fe6bd2e93fbd77d5f63dc320ec323489054a6b0726a24e",
+    "series thue_morse --letter a --kind pos --order 5000 --format csv":
+        "8ba5574ed5ee2b3acb4f98daf6964c197e4694eaaac52149ec3675c843fc6d97",
+    "period thue_morse --letter a":
+        "132197ac7a4fe239fb575101d474581f7a8aa3bba52651d65549302fff738b2e",
+    "series thue_morse --letter b --kind char --order 5000 --format json":
+        "2a804a904962846e441bf6d9af826ee36d647b0d0e18451fc4ca1296043d7c4c",
+    "series thue_morse --letter b --kind char --order 5000 --format csv":
+        "db2a98c3767a69c583b11e249a6a46fdc623f033022bea7b57031535a27d960e",
+    "series thue_morse --letter b --kind pos --order 5000 --format json":
+        "e82afe3210535c12004c5f545407a3d2dafa06fb2d8f97b43f89610e127c2fee",
+    "series thue_morse --letter b --kind pos --order 5000 --format csv":
+        "54aaebc8b5c0700d158b893c31d599279abcca05ad6eb115406ccc7b40d8e9b1",
+    "period thue_morse --letter b":
+        "a26eb0c7f1a460ca94cad68f551a44c76c98e6d292c35cb17ec421919302f149",
+    "geom thue_morse --order 5000 --format json":
+        "d19f7b538606eb5f7f706c8a4e95de82409d9bf9b931cc08e59cf5c72363b997",
+    "geom thue_morse --order 5000 --format csv":
+        "29fcba2d2d73b3cc603a19799fedf220bc7260fd95b433d4d200165132dff2d3",
+}
+
+
+@pytest.mark.parametrize("command", list(STDOUT_SHA256))
+def test_stdout_is_pinned(capsys, command):
+    verb, name, *rest = command.split()
+    code, out, _ = run(capsys, verb, str(DATA / f"{name}.sub"), *rest)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
 def test_module_entry_point():

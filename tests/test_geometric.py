@@ -16,6 +16,7 @@ from subgf.genfun import summatory_transform, char_series
 from subgf.polynomials import ExactPolynomial as P
 from subgf.quadratic import QuadraticReal as Q
 from subgf.substitutions import (
+    fixed_word_prefix,
     parse_substitution,
     pf_data,
     substitution_matrix,
@@ -94,10 +95,17 @@ class TestGeometricSeries:
         assert gs.weights == lengths.by_letter
 
     def test_identity_one_minus_x_g(self, fib, fib_seed, xyz, xyz_seed):
-        assert geometric_identity_ok(fib, fib_seed, natural_lengths(fib), 1000)
-        assert geometric_identity_ok(
-            xyz, xyz_seed, natural_lengths(xyz), 1000
-        )
+        for s, seed in ((fib, fib_seed), (xyz, xyz_seed)):
+            lengths = natural_lengths(s)
+            points = endpoint_sequence(s, seed, lengths, 1000)
+            prefix = fixed_word_prefix(s, seed, 1000)
+            assert geometric_identity_ok(points, prefix, lengths)
+            # a wrong endpoint, a wrong start and a short truncation all fail
+            assert not geometric_identity_ok(
+                points[:500] + [points[500] + 1] + points[501:], prefix, lengths)
+            assert not geometric_identity_ok(
+                [p + 1 for p in points], prefix, lengths)
+            assert not geometric_identity_ok(points[:-1], prefix, lengths)
 
     def test_fibonacci_decomposition_display(self, fib, fib_seed):
         # endpoint n equals n + (tau - 1) * (number of a's before position n)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import islice
 
@@ -15,6 +16,7 @@ from subgf.errors import (
     UnknownLetterError,
     WrongAlphabetSizeError,
 )
+from subgf.cli import main
 from subgf.genfun import _scan_positions, position_series
 from subgf.polynomials import ExactPolynomial as P
 from subgf.substitutions import (
@@ -302,43 +304,113 @@ def _random_seeded_substitutions(rng, count):
     return out
 
 
+def _brute_force_prefix(s, seed, n):
+    """The first n letters of the fixed word by whole sigma**p iterations of
+    the start letter, independent of the block stream."""
+    word = seed.start_letter
+    while len(word) < n:
+        word = s.apply_power(word, seed.power)
+    return word[:n]
+
+
+def _default_scan_bound(s, n_terms):
+    """The scan bound `position_series` documents: the gap bound times
+    n_terms + 2 for primitive substitutions, else 4 * n_terms + 64."""
+    if len(s.alphabet) >= 2 and is_primitive(substitution_matrix(s)) is not None:
+        return gap_bound(s) * (n_terms + 2)
+    return 4 * n_terms + 64
+
+
 class TestAnalysisPrefix:
-    """The one growing prefix of an Analysis against independent streams and
-    brute-force expansion."""
+    """The one growing prefix of an Analysis against brute-force expansion."""
 
     def cases(self, corpus):
         rng = random.Random(77)
         cases = [(s, fixed_point_seed(s)) for s in corpus.values()]
         cases += [(parse_substitution("a->ab\nb->bb"), FixedPointSeed(1, "a")),
-                  (parse_substitution("a->aab\nb->b\nc->c"), FixedPointSeed(1, "a"))]
+                  (parse_substitution("a->aab\nb->b\nc->c"), FixedPointSeed(1, "a")),
+                  (parse_substitution("a->ba\nb->ab"), FixedPointSeed(2, "a")),
+                  (parse_substitution("a->b\nb->ab"), FixedPointSeed(2, "a")),
+                  (parse_substitution("a->bc\nb->ca\nc->a"), FixedPointSeed(3, "a"))]
         return cases + _random_seeded_substitutions(rng, 40)
+
+    def test_seeds_of_higher_power_are_covered(self, corpus):
+        powers = {seed.power for _, seed in self.cases(corpus)}
+        assert {1, 2, 3} <= powers
 
     def test_prefixes_match_streams_and_brute_force(self, corpus):
         for s, seed in self.cases(corpus):
             for bounds in ((4, 2), (30, 7)):
                 analysis = Analysis(s, seed, bounds)
                 base = analysis.prefix(analysis.need)
-                assert base == fixed_word_prefix(s, seed, bounds[0] + 10 * bounds[1])
+                assert base == _brute_force_prefix(s, seed, bounds[0] + 10 * bounds[1])
                 extended = analysis.extended_prefix
                 assert extended == s.apply_power(base, seed.power)
-                assert extended == fixed_word_prefix(s, seed, len(extended))
+                assert extended == _brute_force_prefix(s, seed, len(extended))
                 for n in (0, 1, 17, len(extended) + 9):
-                    assert analysis.prefix(n) == fixed_word_prefix(s, seed, n)
+                    assert analysis.prefix(n) == _brute_force_prefix(s, seed, n)
+
+    def test_prefixes_across_many_pieces(self, corpus):
+        # growing in steps much shorter than one piece (4096 source letters),
+        # then in one jump across several pieces, on seeds of power 1 and 2
+        for s, seed in [(corpus["fib"], fixed_point_seed(corpus["fib"])),
+                        (corpus["xyz"], fixed_point_seed(corpus["xyz"])),
+                        (parse_substitution("a->ba\nb->ab"), FixedPointSeed(2, "a"))]:
+            oracle = _brute_force_prefix(s, seed, 60_000)
+            analysis = Analysis(s, seed)
+            for n in (1, 4095, 4096, 4097, 3 * 4096 + 1, 5000, 60_000):
+                assert analysis.prefix(n) == oracle[:n]
+            assert fixed_word_prefix(s, seed, 60_000) == oracle
+            assert "".join(islice(fixed_word(s, seed), 60_000)) == oracle
 
     def test_positions_match_position_series(self, corpus):
         raised = 0
         for s, seed in self.cases(corpus):
             analysis = Analysis(s, seed, (5, 3))
+            n = analysis.need
+            bound = _default_scan_bound(s, n)
+            word = _brute_force_prefix(s, seed, bound)
             for letter in s.alphabet:
-                try:
-                    expected = position_series(s, seed, letter, analysis.need)
-                except InsufficientOccurrencesError:
+                expected = [i for i, ch in enumerate(word) if ch == letter][:n]
+                if len(expected) < n:
                     raised += 1
                     with pytest.raises(InsufficientOccurrencesError):
-                        _scan_positions(s, analysis.letters(), letter, analysis.need)
+                        _scan_positions(analysis, letter, n)
+                    with pytest.raises(InsufficientOccurrencesError):
+                        position_series(s, seed, letter, n)
                     continue
-                got = _scan_positions(s, analysis.letters(), letter, analysis.need)
-                assert got == expected
+                assert _scan_positions(analysis, letter, n).coefficients == (0, *expected)
+                assert position_series(s, seed, letter, n) == _scan_positions(
+                    analysis, letter, n)
             # the scans read the one prefix, which is still the fixed word
-            assert analysis.prefix(999) == fixed_word_prefix(s, seed, 999)
+            assert analysis.prefix(999) == _brute_force_prefix(s, seed, 999)
         assert raised >= 2
+
+    def test_long_position_scan_crosses_pieces(self, fib, fib_seed):
+        word = _brute_force_prefix(fib, fib_seed, 60_000)
+        expected = [i for i, ch in enumerate(word) if ch == "b"][:20_000]
+        got = _scan_positions(Analysis(fib, fib_seed), "b", 20_000)
+        assert got.coefficients == (0, *expected)
+
+    def test_hostile_images_stay_bounded(self, capsys, tmp_path):
+        # lambda = 1000: B_2 alone would hold 999 * 10**6 letters
+        rules = "a->a" + "b" * 999 + "\nb->b" + "a" * 999
+        s = parse_substitution(rules)
+        n = 2 * 10**6
+        # x = sigma(x) and every image has 1000 letters, so the first n
+        # letters are the image of the first n / 1000
+        expected = s.apply(s.apply_power("a", 2)[: n // 1000])
+        tracemalloc.start()
+        try:
+            analysis = Analysis(s)
+            got = analysis.prefix(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert len(analysis._word) <= n + 4096 * 1000
+        assert peak < 4 * (n + 4096 * 1000)
+        path = tmp_path / "hostile.sub"
+        path.write_text(rules)
+        assert main(["expand", str(path), "--n", str(n)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
