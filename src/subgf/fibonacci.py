@@ -18,7 +18,7 @@ from .polynomials import ExactPolynomial
 from .realroots import (
     ExclusionCertificate,
     RootIsolator,
-    certify_positive,
+    _root_free_certificate,
     isolate_max_root,
 )
 from .substitutions import (
@@ -253,7 +253,7 @@ class PositivityBound:
 def positivity_bound(n: int, tolerance=Fraction(1, 10**8)) -> PositivityBound:
     """Locate the largest root in (-1, 0) among the three pair polynomials,
     return a rational upper bound within `tolerance`, and certify all three
-    polynomials positive on (alpha_hat, 0)."""
+    polynomials positive on (alpha_hat, 0) from the isolation's own counts."""
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -289,9 +289,14 @@ def positivity_bound(n: int, tolerance=Fraction(1, 10**8)) -> PositivityBound:
             u, v = brackets[lb]
             brackets[lb] = isolate_max_root(isolators[lb], u - tolerance, v, (v - u) / 4)
     alpha_hat = brackets[binding][1]
+    # isolate_max_root left no root in (hi, 0] above each bracket (lo, hi],
+    # and a polynomial without a bracket has none in (-1, 0]: so none of the
+    # three has a root in (alpha_hat, 0), and one exact sign each proves
+    # them positive there
+    assert all(hi <= alpha_hat for _, hi in brackets.values())
     certificates = {
-        label: certify_positive(roots, alpha_hat, zero)
-        for label, roots in isolators.items()
+        label: _root_free_certificate(p, alpha_hat, zero)
+        for label, p in polys.by_label().items()
     }
     return PositivityBound(
         level=n,

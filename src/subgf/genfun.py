@@ -80,6 +80,8 @@ def char_series(
 def _char_series(analysis: Analysis, letter: str, order: int) -> TruncatedSeries:
     if letter not in analysis.substitution.alphabet:
         raise KeyError(f"letter {letter!r} not in alphabet")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     prefix = analysis.prefix(order + 1)
     return TruncatedSeries.from_coefficients(int(ch == letter) for ch in prefix)
 

@@ -10,6 +10,16 @@ roots of p in (l, r) with the same parity.  V = 0 is therefore a proof that
 1976).  For a square-free p, halving an interval eventually leaves only
 counts of 0 and 1 (Vincent's theorem), so bisection turns the bound into an
 exact count.  Each count costs two Taylor shifts in exact integers.
+Because roots count with multiplicity, V = 0 and V = 1 are proofs for any
+p; only the splits need a square-free p, so `RootIsolator` computes the
+square-free part when a V >= 2 split first needs it.
+
+A certificate that p > 0 on (l, r) rests on two facts: p has no root in
+(l, r), and p is positive at one exact sample there.  `certify_positive`
+proves the first by Descartes counts on (l, r) itself.  Isolation counts
+prove it as well: `isolate_max_root` on (lower, r] returns a bracket
+(u, v] with no root in (v, r], so v <= l leaves none in (l, r), and a count
+of 0 on (lower, r] leaves none at all (`fibonacci.positivity_bound`).
 
 The Sturm chain (`SturmChain`, `count_roots`) is kept as an independent
 reference for the Descartes counts.  Coefficients use gmpy2 integers when
@@ -324,22 +334,42 @@ def _descartes(cs: list, lower: Fraction, upper: Fraction) -> int:
 
 
 class RootIsolator:
-    """The square-free part of a nonzero polynomial as primitive integers,
-    with cached exact signs, Descartes counts and root counts."""
+    """A nonzero polynomial as primitive integers, with cached exact signs,
+    Descartes counts and root counts.
 
-    def __init__(self, polynomial: ExactPolynomial, _part: list | None = None):
+    It holds the polynomial as given until the first V >= 2 split, which
+    needs the square-free part (Vincent's theorem), and that part from then
+    on; V = 0 and V = 1 are proofs for either.  `sign_at` and `variations`
+    always describe the polynomial held, and both polynomials vanish at the
+    same points.  The counts are exact, so a bracket from `isolate_max_root`
+    proves that no root lies above it, and one exact sign then proves
+    positivity there (see the module docstring)."""
+
+    def __init__(self, polynomial: ExactPolynomial, _part: list | None = None,
+                 _is_square_free: bool = False):
         if polynomial.is_zero:
             raise ZeroPolynomialError("cannot isolate the roots of 0")
         self.polynomial = polynomial
         if _part is None:
             ints, _ = polynomial.integer_coefficients()
-            _part = _square_free(_primitive([_mpz(c) for c in ints]))
+            _part = _primitive([_mpz(c) for c in ints])
         self._cs = _part
+        self._is_square_free = _is_square_free
         self._signs: dict[Fraction, int] = {}
         self._variations: dict[tuple[Fraction, Fraction], int] = {}
 
+    def _hold_square_free(self) -> None:
+        """Replace the polynomial held by its square-free part, and forget
+        the signs and counts of the old one if the two differ."""
+        part = _square_free(self._cs)
+        if part is not self._cs:
+            self._cs = part
+            self._signs.clear()
+            self._variations.clear()
+        self._is_square_free = True
+
     def sign_at(self, x) -> int:
-        """Sign of the square-free part at a rational point."""
+        """Sign of the polynomial held at a rational point."""
         x = _frac(x)
         sign = self._signs.get(x)
         if sign is None:
@@ -357,12 +387,13 @@ class RootIsolator:
 
     def without_root(self, point) -> RootIsolator:
         """The same polynomial with its root at `point`, if any, divided out
-        of the square-free part."""
+        with its full multiplicity."""
         point = _frac(point)
         if self.sign_at(point):
             return self
         part = _deflate_root(self._cs, point.numerator, point.denominator)
-        return RootIsolator(self.polynomial, part)
+        deflated = RootIsolator(self.polynomial, part, self._is_square_free)
+        return deflated.without_root(point)
 
     def count(self, lower, upper, limit: int | None = None) -> int:
         """Number of distinct roots in (lower, upper], counting stops at
@@ -381,12 +412,15 @@ class RootIsolator:
     def _count_open(self, a: Fraction, b: Fraction, limit: int) -> int:
         """Roots in the open (a, b), counted up to `limit`: a sign change or
         V = 1 shows one, V = 0 none, and V >= 2 splits the interval (the
-        Vincent-Collins-Akritas step)."""
+        Vincent-Collins-Akritas step) once the square-free part is held."""
         if limit == 1 and self.sign_at(a) * self.sign_at(b) < 0:
             return 1
         v = self.variations(a, b)
         if v < 2:
             return v
+        if not self._is_square_free:
+            self._hold_square_free()
+            return self._count_open(a, b, limit)
         mid = (a + b) / 2
         found = int(self.sign_at(mid) == 0)
         for lo, hi in ((mid, b), (a, mid)):
@@ -401,7 +435,8 @@ def _isolator(p) -> RootIsolator:
 
 def isolate_max_root(p, lower, upper, eps) -> tuple[Fraction, Fraction]:
     """Bracket (u, v) with v - u <= eps around the largest root in
-    (lower, upper], by bisection with exact decisions.
+    (lower, upper], by bisection with exact decisions: that root lies in
+    (u, v], and no root lies in (v, upper].
 
     "Is there a root in (mid, hi]?" is answered by the sign of hi, a sign
     change, or Descartes counts.  Once V(lo, hi) = 1 shows the root alone
@@ -475,8 +510,11 @@ def certify_positive(p, lower, upper) -> ExclusionCertificate:
     """Certify p > 0 on the open interval (lower, upper).
 
     Roots exactly at an endpoint are allowed: they are divided out first.
-    The proof is V(lower, upper) = 0 for what remains, or, when V > 0,
-    V = 0 on every piece of the bisection that finds no root.
+    The proof that no root is inside is V(lower, upper) = 0 for what
+    remains, or, when V > 0, V = 0 on every piece of the bisection that
+    finds no root; one exact sign then proves positivity
+    (`_root_free_certificate`).  Where isolation counts already show the
+    interval root-free, that sign suffices (`fibonacci.positivity_bound`).
     """
     roots = _isolator(p)
     lo, hi = _frac(lower), _frac(upper)
@@ -486,17 +524,26 @@ def certify_positive(p, lower, upper) -> ExclusionCertificate:
     if counting.count(lo, hi, 1):
         bracket = isolate_max_root(counting, lo, hi, Fraction(1, 2**40))
         raise RootPresentError(f"root inside ({lo}, {hi})", bracket)
-    sample = (lo + hi) / 2
-    sign = roots.polynomial.sign_at(sample)
+    return _root_free_certificate(roots.polynomial, lo, hi)
+
+
+def _root_free_certificate(
+    p: ExactPolynomial, lower: Fraction, upper: Fraction
+) -> ExclusionCertificate:
+    """The certificate for a p already proved to have no root in the open
+    (lower, upper): p keeps one sign there, so its exact sign at the
+    midpoint decides positivity."""
+    sample = (lower + upper) / 2
+    sign = p.sign_at(sample)
     if sign < 0:
         raise NegativeOnIntervalError(f"polynomial is negative at {sample}")
     if sign == 0:
         raise AssertionError("zero count but vanishing sample")
     return ExclusionCertificate(
-        poly_degree=roots.polynomial.degree,
-        poly_sha256=poly_fingerprint(roots.polynomial),
-        lower=lo,
-        upper=hi,
+        poly_degree=p.degree,
+        poly_sha256=poly_fingerprint(p),
+        lower=lower,
+        upper=upper,
         root_count_in_interval=0,
         sample_point=sample,
         sample_sign="+",

@@ -343,10 +343,11 @@ class PFData:
 _PF_WIDTH = Fraction(1, 10**12)
 
 
-def pf_data(m: SubstitutionMatrix) -> PFData:
+def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
     """Characteristic polynomial, minimal polynomial of the dominant
-    eigenvalue, and a rational enclosure of it with width <= 1e-12."""
-    witness = is_primitive(m)
+    eigenvalue, and a rational enclosure of it with width <= 1e-12.
+    `_witness` is m's primitivity witness when the caller already has it."""
+    witness = _witness or is_primitive(m)
     if witness is None:
         raise NotPrimitiveError("matrix is not primitive")
     char = characteristic_polynomial(m)
@@ -395,10 +396,12 @@ class FixedPointSeed:
     start_letter: str
 
 
-def fixed_point_seed(s: Substitution) -> FixedPointSeed:
-    """Seed with the smallest power, ties broken by alphabet order."""
-    matrix = substitution_matrix(s)
-    if is_primitive(matrix) is None:
+def fixed_point_seed(
+    s: Substitution, _witness: Optional[int] = None
+) -> FixedPointSeed:
+    """Seed with the smallest power, ties broken by alphabet order.
+    `_witness` is s's primitivity witness when the caller already has it."""
+    if (_witness or is_primitive(substitution_matrix(s))) is None:
         raise NotPrimitiveError("substitution is not primitive")
     k = len(s.alphabet)
     first = {a: s.image(a)[0] for a in s.alphabet}
@@ -516,11 +519,13 @@ class Analysis:
 
     @cached_property
     def pf(self) -> PFData:
-        return pf_data(self.matrix)
+        return pf_data(self.matrix, self.primitivity_witness)
 
     @cached_property
     def seed(self) -> FixedPointSeed:
-        return self._seed or fixed_point_seed(self.substitution)
+        if self._seed:
+            return self._seed
+        return fixed_point_seed(self.substitution, self.primitivity_witness)
 
     def prefix(self, n: int) -> str:
         """The first n letters of the fixed word; resolves the seed even if n = 0."""

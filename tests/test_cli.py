@@ -58,6 +58,16 @@ class TestSeries:
         assert code == 2
         assert "q" in err
 
+    @pytest.mark.parametrize("kind", ["char", "pos"])
+    def test_negative_order_is_precondition_error(self, capsys, kind):
+        code, out, err = run(
+            capsys, "series", str(DATA / "fib.sub"),
+            "--letter", "a", "--kind", kind, "--order", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert ">= 0" in err
+
 
 class TestPeriod:
     def test_rational_letter(self, capsys):
@@ -84,6 +94,21 @@ class TestRoots:
         assert doc["alpha_hat_decimal"].startswith("-0.90159")
         assert len(doc["certs"]) == 3
         assert all(c["root_count_in_interval"] == 0 for c in doc["certs"])
+
+    def test_level_five_pinned(self, capsys):
+        # recorded with the certificates proved by `certify_positive` on
+        # (alpha_hat, 0) itself, independently of the isolation counts
+        code, out, _ = run(capsys, "roots", "--level", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3ff48c630bb261360388aaa63fd642d1c16c5d96a3426db001c9279104677a1b"
+        )
+        doc = json.loads(out)
+        assert doc["binding"] == "R"
+        assert doc["alpha_hat"] == "-134175499/134217728"  # -134175499 / 2**27
+        assert doc["bracket"] == ["-33543875/33554432", "-134175499/134217728"]
+        degrees = {c["polynomial"]: c["degree"] for c in doc["certs"]}
+        assert degrees == {"R": 2583, "S": 3192, "T": 2582}
 
 
 class TestGeom:
@@ -151,6 +176,7 @@ class TestAnalyze:
         k = len(json.loads(out)["substitution"]["alphabet"])
         assert counts["pf_data"] == 1
         assert counts["characteristic_polynomial"] == 1
+        assert counts["is_primitive"] == 1
         assert counts["_blocks"] == 1
         assert counts["detect_period"] <= 2 * k + 1
 
@@ -162,6 +188,7 @@ def _count_facts(monkeypatch) -> dict:
     counts = {}
     for module, attr in ((substitutions, "pf_data"),
                          (substitutions, "characteristic_polynomial"),
+                         (substitutions, "is_primitive"),
                          (substitutions, "_blocks"),
                          (periodicity, "detect_period")):
         counts[attr] = 0
@@ -197,6 +224,7 @@ def test_each_subcommand_reads_one_analysis(capsys, monkeypatch, argv):
     assert code == 0
     assert counts["pf_data"] <= 1
     assert counts["characteristic_polynomial"] <= 1
+    assert counts["is_primitive"] == 1
     assert counts["_blocks"] == 1
 
 

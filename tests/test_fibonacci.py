@@ -20,6 +20,7 @@ from subgf.genfun import char_prefix_poly
 from subgf.geometric import pf_as_quadratic
 from subgf.polynomials import ExactPolynomial as P
 from subgf.quadratic import QuadraticReal as Q
+from subgf.realroots import RootIsolator, certify_positive, poly_fingerprint
 from subgf.substitutions import (
     fixed_point_seed,
     fixed_word_prefix,
@@ -189,3 +190,15 @@ class TestPositivityBounds:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             positivity_bound(1, 0)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_certificates_match_descartes_on_the_interval(self, level):
+        # the certificates rest on the isolation's counts; a Descartes proof
+        # on (alpha_hat, 0) itself must give the same ones, field by field
+        bound = positivity_bound(level)
+        polys = pair_polynomials(level).by_label()
+        for label, p in polys.items():
+            roots = RootIsolator(p).without_root(-1)
+            expected = certify_positive(roots, bound.alpha_hat, 0)
+            assert bound.certificates[label] == expected, (level, label)
+            assert expected.poly_sha256 == poly_fingerprint(p)

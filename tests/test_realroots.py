@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 from sympy import Poly as SympyPoly, Rational as SympyRational, symbols
 
+from subgf import realroots
+from subgf.cli import main
 from subgf.errors import (
     EndpointIsRootError,
     NegativeOnIntervalError,
@@ -270,7 +272,7 @@ def test_descartes_counts_match_sturm_and_sympy():
         assert expected == _sympy_count(poly, a, b)
         assert roots.count(a, b) == expected, (poly, a, b)
         assert roots.count(a, b, 1) == min(expected, 1)
-        # Descartes' bound on the square-free part: never below the count,
+        # Descartes' bound on the polynomial held: never below the count,
         # and of the same parity when neither end is a root
         if poly(b) != 0:
             v = roots.variations(a, b)
@@ -322,14 +324,122 @@ def test_certify_positive_matches_sturm():
     assert outcomes == {"root", "negative", "positive"}
 
 
+def _power(p, k):
+    out = P([1])
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def test_square_free_part_only_when_needed():
     square_free = P([-2, 0, 1]) * P([1, 1])
     assert RootIsolator(square_free)._cs == [-2, -2, 1, 1]
-    repeated = P([-1, 2]) * P([-1, 2]) * P([3, 1])
+    repeated = P([-1, 2]) * P([-1, 2]) * P([3, 1])  # (2x - 1)^2 (x + 3)
     roots = RootIsolator(repeated)
-    assert roots._cs == [-3, 5, 2]  # (2x - 1)(x + 3), primitive
+    assert roots._cs == [3, -11, 8, 4]  # held as given while V <= 1
+    assert roots.count(1, 2) == 0  # V = 0
+    assert roots.count(-4, -2) == 1  # V = 1
+    assert roots.sign_at(0) == 1
+    assert roots._cs == [3, -11, 8, 4]
+    # V = 3 on (-4, 1): the split needs the square-free part
+    assert roots.variations(-4, 1) == 3
     assert roots.count(-4, 1) == 2
+    assert roots._cs == [-3, 5, 2]  # (2x - 1)(x + 3), primitive
+    # signs and counts of the old polynomial are forgotten with it
+    assert roots.sign_at(0) == -1
+    assert roots.variations(-4, 1) == 2
+    assert roots.count(-1, 0, 1) == 0
     assert roots.sign_at(F(1, 2)) == 0
+
+
+@pytest.mark.parametrize("with_split", [False, True])
+def test_without_root_divides_out_the_full_multiplicity(with_split):
+    # (2x - 1)^3 (x + 3): a triple root at 1/2
+    poly = _power(P([-1, 2]), 3) * P([3, 1])
+    roots = RootIsolator(poly)
+    if with_split:
+        assert roots.count(-4, 1) == 2  # now holds the square-free part
+    deflated = roots.without_root(F(1, 2))
+    assert deflated._cs == [3, 1]
+    assert deflated.sign_at(F(1, 2)) == 1
+    assert deflated.polynomial is poly
+    assert deflated.count(F(1, 2), 1) == 0
+    assert deflated.count(F(1, 2), 5) == 0
+    assert deflated.count(-5, F(1, 2)) == 1
+    assert roots.without_root(0) is roots  # not a root: nothing to divide
+    # the roots above a multiple root, and the interval starting at it
+    poly = _power(P([-1, 2]), 3) * P([-1, 1]) * _power(P([-3, 1]), 2) * P([1, 0, 1])
+    above = RootIsolator(poly).without_root(F(1, 2))
+    assert above.count(F(1, 2), 4) == 2
+    assert above.count(F(1, 2), 2) == 1
+    lo, hi = isolate_max_root(above, F(1, 2), 4, F(1, 2**10))
+    assert lo < 3 <= hi
+    # both ends are roots, one of them triple and one double
+    assert certify_positive(poly * P([-1]), F(1, 2), 1).sample_point == F(3, 4)
+    assert certify_positive(poly, 1, 3).sample_point == 2
+
+
+def _non_square_free_cases(seed, count):
+    """(poly, a, b): a random polynomial times the square or cube of a
+    factor with a real root, so repeated roots sit inside, outside or at
+    the ends of (a, b]."""
+    rng = random.Random(seed)
+    for poly, a, b in _random_cases(seed, count):
+        root = rng.choice(_ROOT_POOL + [a, b])
+        factor = P([-root.numerator, root.denominator])
+        yield poly * _power(factor, rng.choice([2, 3])), a, b
+
+
+def test_counts_on_non_square_free_polynomials_match_sympy():
+    split = 0
+    for poly, a, b in _non_square_free_cases(31, 120):
+        roots = RootIsolator(poly)
+        if poly(a) == 0:
+            with pytest.raises(EndpointIsRootError):
+                roots.count(a, b)
+            continue
+        expected = _sympy_count(poly, a, b)
+        assert roots.count(a, b, 1) == min(expected, 1), (poly, a, b)
+        assert roots.count(a, b) == expected, (poly, a, b)
+        split += roots._is_square_free
+    assert split > 20
+
+
+def test_isolate_max_root_on_non_square_free_polynomials_matches_sympy():
+    checked = 0
+    eps_rng = random.Random(32)
+    for poly, a, b in _non_square_free_cases(33, 120):
+        eps = F(1, 2 ** eps_rng.randint(3, 30))
+        if poly(a) == 0:
+            continue
+        if _sympy_count(poly, a, b) == 0:
+            with pytest.raises(NoRootError):
+                isolate_max_root(poly, a, b, eps)
+            continue
+        lo, hi = isolate_max_root(poly, a, b, eps)
+        assert hi - lo <= eps and hi <= b, (poly, a, b, eps)
+        # the largest root in (a, b] lies in (lo, hi]: one there, none above
+        assert _sympy_count(poly, max(lo, a), hi) >= 1, (poly, a, b, eps)
+        assert hi == b or _sympy_count(poly, hi, b) == 0, (poly, a, b, eps)
+        checked += 1
+    assert checked > 40
+
+
+def test_roots_level_four_makes_three_transforms_and_no_square_free_proof(
+    monkeypatch, capsys
+):
+    calls = {"_descartes": 0, "_coprime_mod": 0, "_square_free": 0}
+    for name in calls:
+        original = getattr(realroots, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(realroots, name, counted)
+    assert main(["roots", "--level", "4"]) == 0
+    capsys.readouterr()
+    assert calls == {"_descartes": 3, "_coprime_mod": 0, "_square_free": 0}
 
 
 def test_zero_variations_prove_root_free():
