@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import fibonacci as fib
 from . import geometric
@@ -41,6 +42,7 @@ from .substitutions import (
 )
 
 DEFAULT_ORDER = 2048
+CSV_CHUNK_ROWS = 4096
 DEFAULT_MAX_PREPERIOD, DEFAULT_MAX_PERIOD = DEFAULT_BOUNDS
 
 EXIT_OK = 0
@@ -52,6 +54,15 @@ EXIT_INCONCLUSIVE = 3
 def _load(path: str):
     with open(path, encoding="utf-8") as handle:
         return parse_substitution(handle.read())
+
+
+def _write_csv(header: str, rows) -> None:
+    """Print the header and rows, CSV_CHUNK_ROWS rows per write: a write per
+    row is slow, and one write holds the whole output in memory."""
+    rows = iter(rows)
+    sys.stdout.write(header + "\n")
+    while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 def _analyze(args) -> int:
@@ -153,9 +164,9 @@ def _series(args) -> int:
         }
         print(canonical_dumps(payload))
     else:
-        print("index,value")
-        for i, c in enumerate(ts.coefficients):
-            print(f"{i},{frac_str(c)}")
+        _write_csv("index,value", (
+            f"{i},{frac_str(c)}" for i, c in enumerate(ts.coefficients)
+        ))
     return EXIT_OK
 
 
@@ -224,9 +235,10 @@ def _geom(args) -> int:
     prefix = analysis.prefix(args.order)
     points = geometric._endpoints(s, table, prefix)
     if args.format == "csv":
-        print("index,exact,decimal50")
-        for i, t in enumerate(points):
-            print(f"{i},{value_str(t).replace(' ', '')},{value_decimal(t, 50)}")
+        _write_csv("index,exact,decimal50", (
+            f"{i},{value_str(t).replace(' ', '')},{value_decimal(t, 50)}"
+            for i, t in enumerate(points)
+        ))
         return EXIT_OK
     payload = {
         "lengths": {a: quadratic_json(v) for a, v in table.items()},

@@ -92,6 +92,8 @@ def weighted_series(
     """Series whose n-th coefficient is the weight of the n-th letter."""
     if set(weights) != set(s.alphabet.letters):
         raise ValueError("weighting must cover exactly the alphabet")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     table = {a: _frac(weights[a]) for a in s.alphabet}
     prefix = Analysis(s, seed).prefix(order + 1)
     return TruncatedSeries.from_coefficients(table[ch] for ch in prefix)

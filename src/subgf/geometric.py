@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .errors import WrongAlphabetSizeError
 from .genfun import RationalForm, rational_form_from_witness
 from .polynomials import ExactPolynomial
-from .quadratic import QuadraticReal
+from .quadratic import QuadraticReal, _square_free_split
 from .substitutions import (
     DEFAULT_BOUNDS,
     AperiodicByIrrationalPF,
@@ -29,28 +29,6 @@ from .substitutions import (
 )
 
 TileLength = Union[Fraction, QuadraticReal]
-
-
-def _is_positive(x) -> bool:
-    if isinstance(x, QuadraticReal):
-        return x.sign() > 0
-    return x > 0
-
-
-def _square_free_split(n: int) -> tuple[int, int]:
-    """n = m*m * d with d square-free; returns (m, d)."""
-    m, d = 1, 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        m *= p ** (e // 2)
-        if e % 2:
-            d *= p
-        p += 1 if p == 2 else 2
-    return m, d * n
 
 
 def pf_as_quadratic(data: PFData) -> Optional[QuadraticReal]:
@@ -81,7 +59,7 @@ class LengthAssignment:
 
     def __post_init__(self):
         for letter, value in self.by_letter.items():
-            if not _is_positive(value):
+            if value <= 0:
                 raise ValueError(f"length of {letter!r} must be positive")
 
     def values_in_order(self, s: Substitution) -> list[TileLength]:
@@ -147,17 +125,11 @@ def natural_lengths_of(analysis: Analysis) -> LengthAssignment:
         vec = _kernel_vector(rows)
         last = vec[-1]
         vec = [x / last for x in vec]
-        values = {}
-        radicand = None
-        for letter, value in zip(s.alphabet, vec):
-            if isinstance(value, QuadraticReal) and not value.is_rational:
-                radicand = value.d
-        rational = radicand is None
-        for letter, value in zip(s.alphabet, vec):
-            if isinstance(value, QuadraticReal) and rational:
-                value = value.a
-            values[letter] = value
-        return LengthAssignment(values, exact=True, radicand=radicand)
+        surds = [x.d for x in vec if isinstance(x, QuadraticReal) and not x.is_rational]
+        radicand = surds[0] if surds else None
+        if radicand is None:
+            vec = [x.a if isinstance(x, QuadraticReal) else x for x in vec]
+        return LengthAssignment(dict(zip(s.alphabet, vec)), exact=True, radicand=radicand)
     return _approximate_lengths(s, matrix, data)
 
 
@@ -191,7 +163,7 @@ def _endpoints(s: Substitution, lengths, prefix: str) -> list[TileLength]:
     for letter in s.alphabet:
         if letter not in table:
             raise ValueError(f"no length for letter {letter!r}")
-        if not _is_positive(table[letter]):
+        if table[letter] <= 0:
             raise ValueError(f"length of {letter!r} must be positive")
     zero = next(iter(table.values())) * 0
     return list(accumulate((table[ch] for ch in prefix), initial=zero))

@@ -1,119 +1,153 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(D)).
 
-A value is a + b*sqrt(D) with rational a, b and a fixed square-free
-positive integer radicand D.  Signs and comparisons are decided with
-integer arithmetic only; no floating point is involved anywhere.
+A value a + b*sqrt(D) is held in integer form (p + q*sqrt(D)) / c with
+c > 0, gcd(p, q, c) = 1 and a square-free radicand D >= 2 (Cohen 1993,
+GTM 138, ch. 4); sqrt(D) is irrational, so this form is unique.  a and b are
+read as `Fraction` properties.  Arithmetic, signs and comparisons run on the
+integers, the floor of a scaled value is one integer square root, and no
+floating point is involved.  The radicand is validated where a user
+constructs a value; arithmetic results inherit it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .polynomials import _frac
 
 
-def is_square_free(n: int) -> bool:
-    if n < 1:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 3
+def _square_free_split(n: int) -> tuple[int, int]:
+    """n = m*m * d with d square-free; returns (m, d)."""
+    m, d = 1, 1
+    p = 2
     while p * p <= n:
-        if n % (p * p) == 0:
-            return False
+        e = 0
         while n % p == 0:
             n //= p
-        p += 2
-    return True
+            e += 1
+        m *= p ** (e // 2)
+        if e % 2:
+            d *= p
+        p += 1 if p == 2 else 2
+    return m, d * n
+
+
+def is_square_free(n: int) -> bool:
+    return n >= 1 and _square_free_split(n)[0] == 1
+
+
+def _make(p: int, q: int, c: int, d) -> "QuadraticReal":
+    """(p + q*sqrt(d)) / c brought to c > 0 and gcd(p, q, c) = 1."""
+    g = gcd(p, q, c) if c > 0 else -gcd(p, q, c)
+    x = object.__new__(QuadraticReal)
+    x._p, x._q, x._c, x.d = p // g, q // g, c // g, d
+    return x
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d); when p and q have opposite signs, p*p and
+    q*q*d differ because d is not a square."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sq == 0 or sp == sq:
+        return sp
+    if sp == 0:
+        return sq
+    return sp if p * p > q * q * d else sq
 
 
 class QuadraticReal:
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_p", "_q", "_c", "d")
 
     def __init__(self, a, b=0, d: int = 5):
-        self.a = _frac(a)
-        self.b = _frac(b)
-        if self.b != 0:
-            if not isinstance(d, int) or d < 2 or not is_square_free(d):
-                raise ValueError(f"radicand must be a square-free integer >= 2, got {d}")
-        self.d = d
+        a, b = _frac(a), _frac(b)
+        if b != 0 and not (isinstance(d, int) and d >= 2 and is_square_free(d)):
+            raise ValueError(f"radicand must be a square-free integer >= 2, got {d}")
+        # a and b are in lowest terms, so gcd(p, q, c) = 1 already
+        c = lcm(a.denominator, b.denominator)
+        self._p, self._q, self._c, self.d = int(a * c), int(b * c), c, d
 
-    @classmethod
-    def rational(cls, q, d: int = 5) -> QuadraticReal:
-        return cls(q, 0, d)
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._c)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._c)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._q == 0
 
-    def _match(self, other) -> "QuadraticReal | None":
+    def _coerce(self, other) -> "tuple[int, int, int, int] | None":
+        """(p, q, c, radicand of the result) of other, or None."""
         if isinstance(other, QuadraticReal):
-            if other.b == 0:
-                return QuadraticReal(other.a, 0, self.d)
-            if self.b == 0:
-                return other  # adopt the other radicand below
-            if other.d != self.d:
+            if other._q == 0:
+                return other._p, 0, other._c, self.d
+            if self._q and other.d != self.d:
                 raise ValueError(f"mixed radicands {self.d} and {other.d}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticReal(other, 0, self.d)
+            return other._p, other._q, other._c, other.d
+        if isinstance(other, int):
+            return other, 0, 1, self.d
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator, self.d
         return None
 
     def __add__(self, other):
-        o = self._match(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.d if self.b == 0 else self.d
-        return QuadraticReal(self.a + o.a, self.b + o.b, d)
+        p, q, c, d = o
+        sc = self._c
+        return _make(self._p * c + p * sc, self._q * c + q * sc, sc * c, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticReal(-self.a, -self.b, self.d)
+        return _make(-self._p, -self._q, self._c, self.d)
 
     def __sub__(self, other):
-        o = self._match(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        p, q, c, d = o
+        sc = self._c
+        return _make(self._p * c - p * sc, self._q * c - q * sc, sc * c, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._match(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.d if self.b == 0 else self.d
-        return QuadraticReal(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
+        p, q, c, d = o
+        return _make(
+            self._p * p + self._q * q * d, self._p * q + self._q * p, self._c * c, d
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._match(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        norm = o.a * o.a - o.b * o.b * (o.d if o.b else self.d)
+        p, q, c, d = o
+        norm = p * p - q * q * d
         if norm == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        inv = QuadraticReal(o.a / norm, -o.b / norm, o.d if o.b else self.d)
-        return self * inv
+        # c / (p + q*sqrt(d)) = c*(p - q*sqrt(d)) / norm
+        return self * _make(c * p, -c * q, norm, d)
 
     def __rtruediv__(self, other):
-        o = self._match(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _make(*o) / self
 
     def __pow__(self, n: int):
         if n < 0:
             return 1 / (self ** (-n))
-        out = QuadraticReal(1, 0, self.d)
-        base = self
+        out, base = _make(1, 0, 1, self.d), self
         while n:
             if n & 1:
                 out = out * base
@@ -122,38 +156,21 @@ class QuadraticReal:
         return out
 
     def sign(self) -> int:
-        """Sign of a + b*sqrt(d) by case split on the signs of a and b and
-        comparison of a**2 against b**2 * d."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0
-            if lhs == rhs:
-                return 0
-            return 1 if lhs > rhs else -1
-        # a < 0, b > 0
-        if lhs == rhs:
-            return 0
-        return 1 if rhs > lhs else -1
+        """Sign of (p + q*sqrt(d))/c, which is that of p + q*sqrt(d)."""
+        return _sign(self._p, self._q, self.d)
 
     def _cmp(self, other) -> int:
-        o = self._match(other)
+        o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticReal with {other!r}")
-        return (self - o).sign()
+        p, q, c, d = o
+        return _sign(self._p * c - p * self._c, self._q * c - q * self._c, d)
 
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
+        return self._p == o[0] and self._q == o[1] and self._c == o[2]
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -168,16 +185,15 @@ class QuadraticReal:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self._q == 0:
+            return hash(Fraction(self._p, self._c))
+        return hash((self._p, self._q, self._c, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._p != 0 or self._q != 0
 
     def decimal(self, digits: int = 50) -> str:
-        """Fixed-point decimal string, correctly rounded toward zero, using
-        integer square-root enclosures of sqrt(d)."""
+        """Fixed-point decimal string, correctly rounded toward zero."""
         neg = self.sign() < 0
         x = -self if neg else self
         scaled = _floor_scaled(x, digits)
@@ -196,28 +212,24 @@ class QuadraticReal:
         return lo, hi
 
     def __repr__(self):
-        if self.b == 0:
+        if self._q == 0:
             return f"QuadraticReal({self.a})"
         return f"QuadraticReal({self.a} + {self.b}*sqrt({self.d}))"
 
 
 def _floor_scaled(x: QuadraticReal, digits: int) -> int:
-    """floor(x * 10**digits) for x >= 0, exact."""
-    scale = 10**digits
-    a = x.a * scale
-    b = x.b * scale
-    if b == 0:
-        return a.numerator // a.denominator
-    guard = 10
-    while True:
-        g = 10**guard
-        s = isqrt(x.d * g * g)
-        # s/g <= sqrt(d) < (s+1)/g
-        lo_s, hi_s = (s, s + 1) if b > 0 else (s + 1, s)
-        lo = a + b * Fraction(lo_s, g)
-        hi = a + b * Fraction(hi_s, g)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return flo
-        guard *= 2
+    """floor(x * 10**digits), exact, with one integer square root.
+
+    With s = 10**digits, x*s = (p*s + r) / c where r = q*s*sqrt(d), whose
+    square is n = q*q*d*s*s.  For q != 0, n is not a perfect square (d is
+    square-free and >= 2), so r is irrational and f = floor(r) < r < f + 1,
+    where f = isqrt(n) for q > 0 and f = -isqrt(n) - 1 for q < 0.  Then
+    floor((p*s + r)/c) = floor((p*s + f)/c) =: k, because c > 0 and
+    k*c <= p*s + f < p*s + r < p*s + f + 1 <= (k + 1)*c, the last step
+    since p*s + f and (k + 1)*c are integers with p*s + f < (k + 1)*c.
+    """
+    s = 10**digits
+    p, q, c = x._p, x._q, x._c
+    root = isqrt(q * q * x.d * s * s) if q else 0
+    f = root if q >= 0 else -root - 1
+    return (p * s + f) // c

@@ -22,7 +22,7 @@ from .substitutions import (
 
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) is int else str(Fraction(x))
 
 
 def frac_decimal(x: Fraction, digits: int = 50) -> str:
@@ -38,13 +38,13 @@ def frac_decimal(x: Fraction, digits: int = 50) -> str:
 def value_str(x) -> str:
     """Exact human-readable form of a rational or quadratic value."""
     if isinstance(x, QuadraticReal):
-        if x.is_rational:
-            return str(x.a)
-        b = f"{x.b}*sqrt({x.d})"
-        if x.a == 0:
-            return b if x.b > 0 else f"-{abs(x.b)}*sqrt({x.d})"
-        op = "+" if x.b > 0 else "-"
-        return f"{x.a} {op} {abs(x.b)}*sqrt({x.d})"
+        a, b = x.a, x.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*sqrt({x.d})"
+        op = "+" if b > 0 else "-"
+        return f"{a} {op} {abs(b)}*sqrt({x.d})"
     return frac_str(x)
 
 

@@ -51,6 +51,27 @@ class TestSeries:
         assert lines[0] == "index,value"
         assert lines[1:] == ["0,0", "1,0", "2,2", "3,3", "4,5", "5,7", "6,8"]
 
+    @pytest.mark.parametrize("argv", [
+        ["series", "--letter", "a", "--order", "9999", "--format", "csv"],
+        ["geom", "--order", "9999", "--format", "csv"],
+    ])
+    def test_csv_is_written_in_chunks_of_rows(self, monkeypatch, argv):
+        from subgf.cli import CSV_CHUNK_ROWS
+
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main([argv[0], str(DATA / "fib.sub"), *argv[1:]]) == 0
+        header, *chunks = writes
+        assert header.count("\n") == 1
+        assert [c.count("\n") for c in chunks] == [CSV_CHUNK_ROWS, CSV_CHUNK_ROWS, 1808]
+        rows = "".join(chunks).splitlines()
+        assert [int(r.split(",")[0]) for r in rows] == list(range(10000))
+
     def test_unknown_letter_is_precondition_error(self, capsys):
         code, _, err = run(
             capsys, "series", str(DATA / "fib.sub"), "--letter", "q",

@@ -75,6 +75,13 @@ class TestSeries:
         with pytest.raises(ValueError):
             weighted_series(fib, fib_seed, {"a": 1}, 10)
 
+    def test_negative_order_raises(self, fib, fib_seed):
+        with pytest.raises(ValueError):
+            char_series(fib, fib_seed, "a", -1)
+        with pytest.raises(ValueError):
+            weighted_series(fib, fib_seed, {"a": 1, "b": 2}, -1)
+        assert weighted_series(fib, fib_seed, {"a": 1, "b": 2}, 0).coefficients == (1,)
+
     def test_sum_identity(self, corpus):
         from subgf.substitutions import fixed_point_seed
 

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+import sympy
 
 from subgf.quadratic import QuadraticReal as Q, is_square_free
 
@@ -111,3 +113,132 @@ def test_total_order_matches_decimal_evaluation():
 def test_hash_consistent_with_rational_equality():
     assert hash(Q(F(3, 2), 0, 5)) == hash(F(3, 2))
     assert Q(F(3, 2), 0, 5) == F(3, 2)
+
+
+
+# -- the integer form against sympy ------------------------------------------
+
+RADICANDS = (2, 3, 5, 7, 13, 30)
+
+
+def _random_part(rng):
+    """A rational of either sign with a small or a large numerator and a
+    unit, a small or a large denominator."""
+    num = rng.choice([rng.randint(-40, 40), rng.randint(-10**30, 10**30)])
+    den = rng.choice([1, rng.randint(2, 60), rng.randint(10**11, 10**13)])
+    return F(num, den)
+
+
+def _sympy(a, b, d):
+    return sympy.Rational(a.numerator, a.denominator) + sympy.Rational(
+        b.numerator, b.denominator
+    ) * sympy.sqrt(d)
+
+
+def _random_values(seed, count, d=None):
+    """(x, x in sympy) with nonzero surd parts of both signs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = _random_part(rng), _random_part(rng)
+        if b == 0:
+            b = F(rng.choice([-1, 1]), rng.randint(1, 9))
+        x = Q(a, b, d or rng.choice(RADICANDS))
+        yield x, _sympy(x.a, x.b, x.d)
+
+
+def _sympy_floor(expr):
+    """floor of a real sympy number of magnitude below 10**120 whose
+    fractional part is not within 10**-60 of 0 or 1.  sympy's own
+    `floor` loses digits to cancellation on values like
+    (10**20*sqrt(2) - 141421356237309504880) / 7 * 10**50, so evaluate to 200
+    digits (strict: sympy raises rather than return fewer) and floor that."""
+    v = sympy.N(expr, 200, strict=True)
+    n = sympy.floor(v)
+    assert sympy.Float(10**-60) < v - n < 1 - sympy.Float(10**-60)
+    return int(n)
+
+
+def _expected_decimal(sx, digits):
+    n = _sympy_floor(10**digits * abs(sx))
+    s = str(n).rjust(digits + 1, "0")
+    return ("-" if sx.is_negative else "") + f"{s[:-digits]}.{s[-digits:]}"
+
+
+def test_decimal_and_interval_match_sympy_floor():
+    scale = 10**50
+    for x, sx in _random_values(20261018, 400):
+        assert x.decimal(50) == _expected_decimal(sx, 50)
+        n = _sympy_floor(scale * sx)
+        assert x.interval(50) == (F(n, scale), F(n + 1, scale))
+
+
+def test_decimal_near_integers_matches_sympy_floor():
+    # p - q*sqrt(d) and its negative just above or below 0, from the digits of
+    # sqrt(d): a floor that is one unit off for a negative surd part shows
+    for d in RADICANDS:
+        for n in (1, 2, 5, 20):
+            q = 10**n
+            p = isqrt(d * q * q)
+            for a, b, c in ((-p, q, 1), (p + 1, -q, 1), (p, -q, 7), (-p - 1, q, 3)):
+                x = Q(F(a, c), F(b, c), d)
+                sx = _sympy(x.a, x.b, d)
+                assert x.sign() == sympy.sign(sx)
+                assert x.decimal(50) == _expected_decimal(sx, 50)
+
+
+def test_sign_and_comparisons_match_sympy():
+    rng = random.Random(7)
+    for d in RADICANDS:
+        xs = list(_random_values(d, 40, d))
+        for (x, sx), (y, sy) in zip(xs, xs[1:] + xs[:1]):
+            if rng.random() < 0.2:  # the same value, built another way
+                y, sy = (x * 3 + 1 - 1) / 3, sx
+            diff = sympy.sign(sympy.expand(sx - sy))
+            assert x.sign() == sympy.sign(sx)
+            assert (x < y, x <= y, x == y, x != y, x >= y, x > y) == (
+                diff < 0, diff <= 0, diff == 0, diff != 0, diff >= 0, diff > 0,
+            )
+            r = _random_part(rng)
+            dr = sympy.sign(sx - sympy.Rational(r.numerator, r.denominator))
+            assert (x < r, x == r, x > r, r < x, r == x) == (
+                dr < 0, dr == 0, dr > 0, dr > 0, dr == 0,
+            )
+
+
+def test_field_operations_match_sympy():
+    for d in RADICANDS:
+        xs = list(_random_values(100 + d, 20, d))
+        for (x, sx), (y, sy) in zip(xs, xs[1:] + xs[:1]):
+            r = y.a
+            sr = sympy.Rational(r.numerator, r.denominator)
+            for ours, expected in (
+                (x + y, sx + sy),
+                (x - y, sx - sy),
+                (x * y, sx * sy),
+                (x / y, sympy.radsimp(sx / sy)),
+                (r + x, sr + sx),
+                (r - x, sr - sx),
+                (x * r, sx * sr),
+                (r / x, sympy.radsimp(sr / sx)),
+                (x**3, sx**3),
+                (x**-2, sympy.radsimp(1 / sx**2)),
+            ):
+                assert sympy.expand(expected - _sympy(ours.a, ours.b, d)) == 0
+                # the form is reduced: equal values hold equal integers
+                rebuilt = Q(ours.a, ours.b, d)
+                assert (ours._p, ours._q, ours._c) == (rebuilt._p, rebuilt._q, rebuilt._c)
+                assert ours._c > 0
+
+
+def test_rational_results_agree_with_fraction():
+    for x, sx in _random_values(43, 200):
+        conjugate = Q(x.a, -x.b, x.d)
+        norm = x * conjugate  # a*a - b*b*d
+        expected = F(str(sympy.expand(sx * _sympy(x.a, -x.b, x.d))))
+        assert norm.is_rational and norm.b == 0 and norm.a == expected
+        assert norm == expected and expected == norm
+        assert hash(norm) == hash(expected)
+        assert {expected: 1}[norm] == 1
+        half = (x + conjugate) / 2  # the rational part a
+        assert half == x.a and hash(half) == hash(x.a)
+        assert x - x == 0 and hash(x - x) == hash(0)
