@@ -47,14 +47,7 @@ from .geometric import (
 from .periodicity import PeriodWitness
 from .polynomials import ExactPolynomial
 from .quadratic import QuadraticReal
-from .realroots import (
-    ExclusionCertificate,
-    SturmChain,
-    certify_positive,
-    count_roots,
-    isolate_max_root,
-    sturm_chain,
-)
+from .realroots import ExclusionCertificate, certify_positive, isolate_max_root
 from .substitutions import (
     Alphabet,
     Analysis,

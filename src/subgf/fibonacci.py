@@ -33,7 +33,10 @@ FIBONACCI = Substitution.from_rules({"a": "ab", "b": "a"})
 FIBONACCI_SEED = FixedPointSeed(1, "a")
 
 MAX_SUPERTILE_LEVEL = 40
-MAX_PAIR_LEVEL = 6  # pair polynomials grow like (2+sqrt(5))**n; degree ~1e4 at 6
+# pair polynomials grow like (2+sqrt(5))**n: degrees ~3e3 at level 5 and
+# ~1.1e4 at 6.  On a 2-vCPU VM with pure-Python integers, `roots --level 5`
+# took 6.5 s and `roots --level 6` 572 s at 92 MB, so level 6 is refused
+MAX_PAIR_LEVEL = 5
 
 _PAIR_LABELS = ("R", "S", "T")
 

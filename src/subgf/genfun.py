@@ -12,8 +12,7 @@ certificates are rationals, and there is no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import accumulate, compress, count, islice
 from typing import Optional, Union
 
 from .errors import (
@@ -284,17 +283,13 @@ class RationalForm:
     summatory_power: int = 0
 
     def expand(self, order: int) -> TruncatedSeries:
-        cs = [Fraction(0)] * (order + 1)
-        for n in range(order + 1):
-            c = self.numerator.coefficient(n)
-            if n >= self.period:
-                c += cs[n - self.period]
-            cs[n] = c
+        cs = list(self.numerator.coefficients[: order + 1])
+        cs += [0] * (order + 1 - len(cs))
+        d = self.period
+        for n in range(d, order + 1):
+            cs[n] += cs[n - d]
         for _ in range(self.summatory_power):
-            acc = Fraction(0)
-            for n in range(order + 1):
-                acc += cs[n]
-                cs[n] = acc
+            cs = list(accumulate(cs))
         return TruncatedSeries(order, tuple(cs))
 
 

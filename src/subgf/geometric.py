@@ -44,7 +44,7 @@ def pf_as_quadratic(data: PFData) -> Optional[QuadraticReal]:
     inner = disc.numerator * disc.denominator
     m, d = _square_free_split(inner)
     # the dominant eigenvalue is the larger root, so the surd term is +
-    return QuadraticReal(-b / 2, Fraction(m, 2 * disc.denominator), d)
+    return QuadraticReal(Fraction(-b, 2), Fraction(m, 2 * disc.denominator), d)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored constant-term first.  The zero polynomial has
-degree -1; every nonzero polynomial has a nonzero trailing coefficient.
+Coefficients are stored constant-term first, each as an `int` when it is
+integral and as a `Fraction` only otherwise, so integer polynomials run on
+integer arithmetic.  The zero polynomial has degree -1; every nonzero
+polynomial has a nonzero trailing coefficient.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def _frac(x) -> Fraction:
@@ -17,11 +19,19 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _coefficient(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class ExactPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -29,10 +39,6 @@ class ExactPolynomial:
     @classmethod
     def zero(cls) -> ExactPolynomial:
         return cls(())
-
-    @classmethod
-    def one(cls) -> ExactPolynomial:
-        return cls((1,))
 
     @classmethod
     def monomial(cls, exponent: int, coefficient=1) -> ExactPolynomial:
@@ -50,7 +56,7 @@ class ExactPolynomial:
         return cls(cs)
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         return self._coeffs
 
     @property
@@ -62,15 +68,15 @@ class ExactPolynomial:
         return not self._coeffs
 
     @property
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         if not self._coeffs:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
         return self._coeffs[-1]
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> int | Fraction:
         if 0 <= i < len(self._coeffs):
             return self._coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -113,14 +119,14 @@ class ExactPolynomial:
 
     def __mul__(self, other) -> ExactPolynomial:
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
+            c = _coefficient(other)
             return ExactPolynomial([c * x for x in self._coeffs])
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return ExactPolynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -136,11 +142,11 @@ class ExactPolynomial:
             raise ValueError("shift must be >= 0")
         if not self._coeffs:
             return self
-        return ExactPolynomial((Fraction(0),) * k + self._coeffs)
+        return ExactPolynomial((0,) * k + self._coeffs)
 
-    def __call__(self, x) -> Fraction:
+    def __call__(self, x) -> int | Fraction:
         x = _frac(x)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
@@ -150,21 +156,18 @@ class ExactPolynomial:
         full value as a Fraction when coefficients are integers."""
         x = _frac(x)
         num, den = x.numerator, x.denominator
-        if all(c.denominator == 1 for c in self._coeffs):
+        if all(type(c) is int for c in self._coeffs):
             d = self.degree
             if d < 0:
                 return 0
-            acc = self._coeffs[d].numerator
+            acc = self._coeffs[d]
             dp = 1
             for i in range(d - 1, -1, -1):
                 dp *= den
-                acc = acc * num + self._coeffs[i].numerator * dp
+                acc = acc * num + self._coeffs[i] * dp
             return (acc > 0) - (acc < 0)
         v = self(x)
         return (v > 0) - (v < 0)
-
-    def derivative(self) -> ExactPolynomial:
-        return ExactPolynomial([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def __divmod__(self, other: ExactPolynomial):
         if not isinstance(other, ExactPolynomial):
@@ -175,8 +178,8 @@ class ExactPolynomial:
         dq = len(rem) - len(other._coeffs)
         if dq < 0:
             return ExactPolynomial.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.leading_coefficient
+        quo = [0] * (dq + 1)
+        inv_lead = Fraction(1, other.leading_coefficient)
         for k in range(dq, -1, -1):
             c = rem[k + other.degree] * inv_lead
             quo[k] = c
@@ -200,49 +203,15 @@ class ExactPolynomial:
     def integer_coefficients(self) -> tuple[list[int], int]:
         """Return (ints, den) with den > 0 and den * self having the listed
         integer coefficients."""
-        den = 1
-        for c in self._coeffs:
-            den = lcm(den, c.denominator)
-        return [int(c * den) for c in self._coeffs], den
-
-    def content(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        ints, den = self.integer_coefficients()
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        return Fraction(g, den)
-
-    def primitive_part(self) -> ExactPolynomial:
-        if not self._coeffs:
-            return self
-        return self * (1 / self.content())
+        if all(type(c) is int for c in self._coeffs):
+            return list(self._coeffs), 1
+        den = lcm(*(c.denominator for c in self._coeffs))
+        return [c.numerator * (den // c.denominator) for c in self._coeffs], den
 
     def monic(self) -> ExactPolynomial:
         if not self._coeffs:
             return self
-        return self * (1 / self.leading_coefficient)
-
-    def gcd(self, other: ExactPolynomial) -> ExactPolynomial:
-        """Monic greatest common divisor over the rationals."""
-        a, b = self, other
-        if a.is_zero:
-            return b.monic() if not b.is_zero else b
-        while not b.is_zero:
-            a, b = b, a % b
-            if not b.is_zero:
-                # keep coefficients small between steps
-                b = b.primitive_part()
-        return a.monic()
-
-    def square_free_part(self) -> ExactPolynomial:
-        if self.degree < 1:
-            return self.monic() if not self.is_zero else self
-        g = self.gcd(self.derivative())
-        if g.degree < 1:
-            return self.monic()
-        return self.exact_div(g).monic()
+        return self * Fraction(1, self.leading_coefficient)
 
     def to_string(self, var: str = "X") -> str:
         if not self._coeffs:

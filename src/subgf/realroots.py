@@ -21,8 +21,11 @@ prove it as well: `isolate_max_root` on (lower, r] returns a bracket
 (u, v] with no root in (v, r], so v <= l leaves none in (l, r), and a count
 of 0 on (lower, r] leaves none at all (`fibonacci.positivity_bound`).
 
-The Sturm chain (`SturmChain`, `count_roots`) is kept as an independent
-reference for the Descartes counts.  Coefficients use gmpy2 integers when
+Only the rare polynomial whose square-freeness the modular proof misses
+needs its exact square-free part, p / gcd(p, p'), with the gcd from a
+primitive remainder sequence in integers.  Sturm chains, an independent
+reference for the Descartes counts, live with the tests
+(`tests/sturm_reference.py`).  Coefficients use gmpy2 integers when
 available.
 """
 from __future__ import annotations
@@ -101,20 +104,6 @@ def _neg_prem_primitive(f: list, g: list) -> list:
     return _primitive(r)
 
 
-def _build_chain(p0: list) -> list[list]:
-    chain = [p0]
-    p1 = _strip([i * c for i, c in enumerate(p0)][1:])
-    if not p1:
-        return chain
-    chain.append(_primitive(p1))
-    while len(chain[-1]) > 1:
-        nxt = _neg_prem_primitive(chain[-2], chain[-1])
-        if not nxt:
-            break
-        chain.append(nxt)
-    return chain
-
-
 def _exact_div_int(f: list, g: list) -> list:
     out = [0] * (len(f) - len(g) + 1)
     rem = list(f)
@@ -169,67 +158,6 @@ def _sign_at(cs: list, num, shift_exp, den_pows) -> int:
     return 1 if acc > 0 else (-1 if acc < 0 else 0)
 
 
-class SturmChain:
-    """Sturm chain of the square-free part of a polynomial, with cached
-    sign-variation counts at rational points."""
-
-    def __init__(self, polynomial: ExactPolynomial):
-        if polynomial.is_zero:
-            raise ZeroPolynomialError("cannot build a Sturm chain of 0")
-        self.polynomial = polynomial
-        ints, _ = polynomial.integer_coefficients()
-        work = _primitive([_mpz(c) for c in ints])
-        while True:
-            chain = _build_chain(work)
-            if len(chain) == 1 or len(chain[-1]) == 1:
-                # constant input, or the chain ends in a nonzero constant,
-                # which is exactly the square-free case
-                break
-            # chain terminated early: its last member is gcd(p, p') up to a
-            # constant; divide it out and rebuild
-            work = _primitive(_exact_div_int(work, chain[-1]))
-        self._chain = chain
-        self._square_free = chain[0]
-        self._vcache: dict[tuple[int, int], int] = {}
-
-    def __len__(self) -> int:
-        return len(self._chain)
-
-    @property
-    def members(self) -> tuple[ExactPolynomial, ...]:
-        return tuple(ExactPolynomial([int(c) for c in m]) for m in self._chain)
-
-    @property
-    def square_free_part(self) -> ExactPolynomial:
-        return ExactPolynomial([int(c) for c in self._square_free])
-
-    def sign_at(self, x) -> int:
-        """Sign of the square-free part at a rational point."""
-        num, e, dp = _point_data(_frac(x), len(self._square_free) - 1)
-        return _sign_at(self._square_free, num, e, dp)
-
-    def variations(self, x) -> int:
-        x = _frac(x)
-        key = (x.numerator, x.denominator)
-        cached = self._vcache.get(key)
-        if cached is not None:
-            return cached
-        dmax = max(len(m) for m in self._chain) - 1
-        num, e, dp = _point_data(x, dmax)
-        signs = [s for m in self._chain if (s := _sign_at(m, num, e, dp))]
-        count = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        self._vcache[key] = count
-        return count
-
-    def count(self, lower, upper) -> int:
-        lower, upper = _frac(lower), _frac(upper)
-        if not lower < upper:
-            raise ValueError("need lower < upper")
-        if self.sign_at(lower) == 0:
-            raise EndpointIsRootError(f"polynomial vanishes at {lower}")
-        return self.variations(lower) - self.variations(upper)
-
-
 def _point_data(x: Fraction, dmax: int):
     num, den = _mpz(x.numerator), x.denominator
     if den & (den - 1) == 0:  # power of two: shifts instead of multiplies
@@ -239,17 +167,6 @@ def _point_data(x: Fraction, dmax: int):
     for i in range(1, dmax + 1):
         dp[i] = dp[i - 1] * d
     return num, None, dp
-
-
-def sturm_chain(p: ExactPolynomial) -> SturmChain:
-    return SturmChain(p)
-
-
-def count_roots(p, lower, upper) -> int:
-    """Number of distinct real roots in (lower, upper], by Sturm's theorem."""
-    chain = p if isinstance(p, SturmChain) else SturmChain(p)
-    return chain.count(lower, upper)
-
 
 
 # -- Descartes' rule of signs ------------------------------------------------
@@ -277,15 +194,26 @@ def _square_free(cs: list) -> list:
     roots.  A constant gcd of p and p' modulo a prime not dividing
     d * lc(p) proves p square-free, because a common factor over the
     integers would survive the reduction with its degree; only when that
-    proof fails is the exact square-free part computed."""
+    proof fails is the exact square-free part p / gcd(p, p') computed, with
+    a positive leading coefficient.  The gcd is primitive, so by Gauss's
+    lemma the quotient is an exact, primitive integer division."""
     d = len(cs) - 1
     if d < 2:
         return cs
     derivative = [i * c for i, c in enumerate(cs)][1:]
     if d * cs[-1] % _PRIME and _coprime_mod(cs, derivative, _PRIME):
         return cs
-    part = ExactPolynomial([int(c) for c in cs]).square_free_part()
-    return _primitive([_mpz(c) for c in part.integer_coefficients()[0]])
+    part = _exact_div_int(cs, _primitive_gcd(cs, _primitive(derivative)))
+    return part if part[-1] > 0 else [-c for c in part]
+
+
+def _primitive_gcd(f: list, g: list) -> list:
+    """Primitive gcd, up to sign, of a primitive f and a nonzero primitive g
+    of lower degree, by the primitive remainder sequence (Collins 1967):
+    each remainder is divided by its content, so coefficients stay small."""
+    while g:
+        f, g = g, _neg_prem_primitive(f, g)
+    return f
 
 
 def _scaled(cs: list, num, den) -> list:

@@ -294,7 +294,7 @@ def _irreducible_factors(p: ExactPolynomial) -> list[ExactPolynomial]:
     while work.degree > 0 and work.coefficient(0) == 0:
         factors.append(x)
         work = work.exact_div(x)
-    const = abs(work.coefficient(0).numerator)
+    const = abs(work.coefficient(0))
     if work.degree > 0 and const:
         for r in sorted(_divisors(const), key=abs):
             for root in (r, -r):
@@ -308,10 +308,10 @@ def _irreducible_factors(p: ExactPolynomial) -> list[ExactPolynomial]:
         from sympy import Poly, symbols  # deferred: only needed for k >= 4
 
         var = symbols("x")
-        coeffs = [int(c) for c in reversed(work.coefficients)]
+        coeffs = list(reversed(work.coefficients))
         _, parts = Poly(coeffs, var).factor_list()
         for fac, mult in parts:
-            g = ExactPolynomial(list(reversed([Fraction(c) for c in fac.all_coeffs()])))
+            g = ExactPolynomial([int(c) for c in reversed(fac.all_coeffs())])
             factors.extend([g.monic()] * mult)
     return factors
 

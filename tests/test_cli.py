@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,13 @@ class TestRoots:
         assert doc["bracket"] == ["-33543875/33554432", "-134175499/134217728"]
         degrees = {c["polynomial"]: c["degree"] for c in doc["certs"]}
         assert degrees == {"R": 2583, "S": 3192, "T": 2582}
+
+    def test_level_six_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "roots", "--level", "6")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "exceeds the supported range 5" in err
 
 
 class TestGeom:

@@ -3,7 +3,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from subgf.fibonacci import pair_polynomials
+from subgf.genfun import rational_form_from_witness
+from subgf.periodicity import PeriodWitness
 from subgf.polynomials import ExactPolynomial as P, X
+from subgf.substitutions import (
+    characteristic_polynomial,
+    parse_substitution,
+    substitution_matrix,
+)
 
 
 def test_trailing_zeros_stripped():
@@ -66,25 +74,39 @@ def test_divmod():
         P([1, 0, 1]).exact_div(P([1, 1]))
 
 
-def test_gcd_and_square_free():
-    square = P([1, 1]) * P([1, 1]) * P([-2, 1])
-    assert square.gcd(square.derivative()) == P([1, 1])
-    assert square.square_free_part() == (P([1, 1]) * P([-2, 1])).monic()
-    assert P([-2, 0, 1]).square_free_part() == P([-2, 0, 1])
-    assert P.zero().gcd(P([0, 2])) == P([0, 1])
-
-
 def test_content_and_integers():
     p = P(["1/2", "3/4"])
     ints, den = p.integer_coefficients()
     assert ints == [2, 3] and den == 4
-    assert p.content() == F(1, 4)
-    assert p.primitive_part() == P([2, 3])
 
 
-def test_derivative():
-    assert P([5, 3, 1]).derivative() == P([3, 2])
-    assert P([5]).derivative().is_zero
+def _integral(p):
+    return all(type(c) is int for c in p.coefficients)
+
+
+def test_integer_coefficients_stay_integers():
+    p, q = P([3, -1, 0, 2]), P([-5, 4])
+    monic = P([2, -1, 1])
+    quotient, remainder = divmod(p * q + P([7]), monic)
+    for r in (p + q, p - q, p * q, 3 * p, -p, p.shift(4), quotient, remainder):
+        assert _integral(r), r
+    assert quotient * monic + remainder == p * q + P([7])
+    assert type(p.coefficient(9)) is int
+    polys = pair_polynomials(4)
+    assert all(_integral(poly) for poly in polys.by_label().values())
+    matrix = substitution_matrix(parse_substitution("x->xyzy\ny->xy\nz->zy"))
+    assert _integral(characteristic_polynomial(matrix))
+    form = rational_form_from_witness([5, 1, 2, 1, 2, 1, 2, 1], PeriodWitness(1, 2))
+    assert _integral(form.numerator)
+    assert all(type(c) is int for c in form.expand(20).coefficients)
+    # integral Fractions are normalised; genuine ones and floats are not
+    assert P([F(6, 2)]).coefficients == (3,)
+    assert type(P([F(6, 2)]).coefficient(0)) is int
+    assert type(P([F(1, 2), 1]).coefficient(0)) is F
+    with pytest.raises(TypeError):
+        P([1.5])
+    with pytest.raises(TypeError):
+        P([1, 2.0])
 
 
 def test_to_string():

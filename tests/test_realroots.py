@@ -18,11 +18,10 @@ from subgf.polynomials import ExactPolynomial as P
 from subgf.realroots import (
     RootIsolator,
     certify_positive,
-    count_roots,
     isolate_max_root,
     separate_max_root,
-    sturm_chain,
 )
+from sturm_reference import count_roots, sturm_chain
 
 R1 = char_prefix_poly("abaababa", "a")
 S1 = char_prefix_poly("abaababaab", "a")
@@ -33,7 +32,7 @@ def proportional(p, q):
     """q is a positive rational multiple of p."""
     if p.degree != q.degree:
         return False
-    ratio = q.leading_coefficient / p.leading_coefficient
+    ratio = F(q.leading_coefficient, p.leading_coefficient)
     return ratio > 0 and q == p * ratio
 
 
@@ -451,3 +450,35 @@ def test_zero_variations_prove_root_free():
     assert roots.count(F(-1), F(-9, 10)) == 1
     with pytest.raises(ZeroPolynomialError):
         RootIsolator(P.zero())
+
+
+def _sympy_square_free(cs):
+    """sympy's square-free part, primitive with a positive leading
+    coefficient."""
+    _, part = SympyPoly(cs[::-1], _X).sqf_part().primitive()
+    out = [int(c) for c in reversed(part.all_coeffs())]
+    return out if out[-1] > 0 else [-c for c in out]
+
+
+def test_square_free_fallback_matches_sympy():
+    # repeated factors, and square-free polynomials whose leading
+    # coefficient the prime of the modular proof divides: both fail that
+    # proof and take the exact integer gcd
+    rng = random.Random(59)
+    prime = realroots._PRIME
+    cases = [poly for poly, _, _ in _non_square_free_cases(57, 70)]
+    while len(cases) < 100:
+        poly = P([rng.randint(1, 9), prime * rng.randint(1, 3)])
+        for r in rng.sample(_ROOT_POOL, rng.randint(1, 4)):
+            poly = poly * P([-r.numerator, r.denominator])
+        if rng.random() < 0.5:
+            poly = poly * rng.choice([P([-2, 0, 1]), P([1, 0, 1]), P([5, -2, 1])])
+        cases.append(poly)
+    for poly in cases:
+        cs = realroots._primitive(list(poly.coefficients))
+        derivative = [i * c for i, c in enumerate(cs)][1:]
+        proved = (len(cs) - 1) * cs[-1] % prime and realroots._coprime_mod(
+            cs, derivative, prime
+        )
+        assert not proved, poly
+        assert realroots._square_free(cs) == _sympy_square_free(cs), poly

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import islice
 
 import pytest
-from sympy import Matrix, symbols
+from sympy import Matrix, Poly as SympyPoly, Rational, minimal_polynomial, symbols
 
 from subgf.errors import (
     DuplicateRuleError,
@@ -187,6 +187,28 @@ class TestPFData:
             expected = Matrix(rows).charpoly(x).all_coeffs()
             got = characteristic_polynomial(SubstitutionMatrix(tuple(map(tuple, rows))))
             assert got == P([int(c) for c in reversed(expected)])
+
+    def test_min_poly_matches_sympy_minimal_polynomial(self):
+        x = symbols("x")
+        rng = random.Random(4049)
+        checked = {k: 0 for k in range(2, 7)}
+        while min(checked.values()) < 6:
+            k = rng.randint(2, 6)
+            rows = [[rng.choice((0, 0, 0, 1, 1, 2, 3)) for _ in range(k)] for _ in range(k)]
+            for i, row in enumerate(rows):
+                row[i] += sum(row) == 0  # every row must sum to at least 1
+            m = SubstitutionMatrix(tuple(map(tuple, rows)))
+            if is_primitive(m) is None:
+                continue
+            data = pf_data(m)
+            char = SympyPoly(list(reversed(data.char_poly.coefficients)), x)
+            root = char.real_roots()[-1]  # sorted: the last is the largest
+            expected = SympyPoly(minimal_polynomial(root, x), x).all_coeffs()
+            assert data.min_poly_of_pf == P([int(c) for c in reversed(expected)]), rows
+            lower = Rational(data.pf_lower.numerator, data.pf_lower.denominator)
+            upper = Rational(data.pf_upper.numerator, data.pf_upper.denominator)
+            assert lower < root < upper, rows
+            checked[k] += 1
 
 
 class TestFixedPoints:
