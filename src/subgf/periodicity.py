@@ -1,4 +1,6 @@
-"""Detection of eventual periodicity in finite sequences of exact values."""
+"""Detection of eventual periodicity in finite sequences of exact values:
+one C pass encodes the values as ids, then each candidate period costs one
+C comparison that stops at the first difference."""
 from __future__ import annotations
 
 from array import array
@@ -21,6 +23,12 @@ def detect_period(coeffs, max_preperiod: int, max_period: int) -> PeriodWitness 
 
     The sequence must be at least max_preperiod + 10 * max_period long so
     that any reported witness has been confirmed well past its preperiod.
+
+    The ids (one byte each, eight past 256 distinct values) are encoded
+    once.  d is accepted iff c[n] == c[n + d] for all n >= max_preperiod: one
+    early-exit memoryview comparison, so a rejected d usually costs a few
+    ids.  Only the accepted d pays one XOR over the first max_preperiod ids,
+    whose top set bit marks the last mismatch, hence the preperiod.
     """
     if max_preperiod < 0 or max_period < 1:
         raise ValueError("bounds must satisfy max_preperiod >= 0, max_period >= 1")
@@ -30,37 +38,22 @@ def detect_period(coeffs, max_preperiod: int, max_period: int) -> PeriodWitness 
         raise InsufficientDataError(
             f"need at least {max_preperiod + 10 * max_period} values, got {size}"
         )
-    ids: dict = {}
-    enc = []
-    for v in seq:
-        i = ids.get(v)
-        if i is None:
-            i = len(ids)
-            ids[v] = i
-        enc.append(i)
-    if len(ids) <= 256:
-        buf = bytes(enc)
-        width = 1
-    else:
-        buf = array("q", enc).tobytes()
-        width = 8
+    ids = {v: i for i, v in enumerate(dict.fromkeys(seq))}
+    codes = map(ids.__getitem__, seq)
+    view = memoryview(bytes(codes) if len(ids) <= 256 else array("q", codes))
+    cut = max_preperiod
     for d in range(1, max_period + 1):
-        head = buf[: (size - d) * width]
-        tail = buf[d * width :]
-        if head == tail:
-            return PeriodWitness(0, d)
-        # position of the last mismatching element, via the top byte of a xor
-        x = int.from_bytes(head, "little") ^ int.from_bytes(tail, "little")
-        last_bad = (x.bit_length() - 1) // (8 * width)
-        if last_bad + 1 <= max_preperiod:
-            return PeriodWitness(last_bad + 1, d)
+        if view[cut : size - d] == view[cut + d :]:
+            x = int.from_bytes(view[:cut], "little") ^ int.from_bytes(
+                view[d : d + cut], "little"
+            )
+            return PeriodWitness(-(-x.bit_length() // (8 * view.itemsize)), d)
     return None
 
 
 def verify_witness(coeffs, witness: PeriodWitness) -> bool:
     """Check c[n + d] == c[n] for all preperiod <= n <= len - d - 1."""
-    seq = coeffs if isinstance(coeffs, (list, tuple)) else list(coeffs)
-    d = witness.period
-    return all(
-        seq[n] == seq[n + d] for n in range(witness.preperiod, len(seq) - d)
-    )
+    seq = coeffs if isinstance(coeffs, (list, tuple, str)) else list(coeffs)
+    p, d = witness.preperiod, witness.period
+    # the max keeps a period longer than the sequence from slicing from the end
+    return seq[p : max(p, len(seq) - d)] == seq[p + d :]

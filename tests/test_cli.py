@@ -107,6 +107,30 @@ class TestPeriod:
         assert json.loads(out)["witness"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(DATA / "xyz.sub")],
+    ["period", str(DATA / "xyz.sub"), "--letter", "y"],
+])
+def test_period_search_over_the_limit_refused_up_front(capsys, argv):
+    # 1000 + 10 * 10**8 letters are over substitutions.MAX_SEARCH_LETTERS
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--max-period", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 1000000" in err
+
+
+def test_large_period_bound_pinned(capsys):
+    # recorded with the period search that XORs both shifted copies for every
+    # candidate d (43 s there); a search that is quadratic again shows as a
+    # slow test, the sha256 as a changed witness
+    code, out, _ = run(capsys, "analyze", str(DATA / "xyz.sub"), "--max-period", "20000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c9c23194b284a215f957b5b038338827645b3cd5d882dd26cd0a60f095bd541b"
+    )
+
+
 class TestRoots:
     def test_level_one(self, capsys):
         code, out, _ = run(capsys, "roots", "--level", "1", "--tol", "1e-6")

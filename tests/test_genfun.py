@@ -32,7 +32,7 @@ from subgf.genfun import (
     summatory_transform,
     weighted_series,
 )
-from subgf.periodicity import PeriodWitness, detect_period
+from subgf.periodicity import PeriodWitness, detect_period, verify_witness
 from subgf.polynomials import ExactPolynomial as P
 from subgf.substitutions import InconclusiveUpTo, parse_substitution
 
@@ -247,7 +247,80 @@ class TestTransforms:
             assert int(d.coefficients[1]) == (0 if letter == "a" else 1)
 
 
+def naive_witness(seq, max_preperiod, max_period):
+    """The smallest d, then the smallest n0 <= max_preperiod with
+    c[n] == c[n + d] for every n >= n0, by brute force."""
+    for d in range(1, max_period + 1):
+        n0 = len(seq) - d
+        while n0 > 0 and seq[n0 - 1] == seq[n0 - 1 + d]:
+            n0 -= 1
+        if n0 <= max_preperiod:
+            return PeriodWitness(n0, d)
+    return None
+
+
+def naive_verify(seq, w):
+    d = w.period
+    return all(seq[n] == seq[n + d] for n in range(w.preperiod, len(seq) - d))
+
+
+@st.composite
+def period_cases(draw, wide=False):
+    """(seq, max_preperiod, max_period) over ints >= 0 and the sentinel -1:
+    a head ending in -1, then a repeated block, then up to two changed
+    values.  The block never holds -1, so unless a change says otherwise the
+    preperiod is at least the head's length, and max_preperiod is drawn just
+    below it, at it or above it.  A wide head has over 256 distinct values."""
+    if wide:
+        head = draw(st.lists(st.integers(300, 10**9), min_size=257, max_size=260, unique=True))
+    else:
+        head = draw(st.lists(st.integers(0, 3), max_size=6))
+    head.append(-1)
+    max_period = draw(st.integers(1, 4))
+    block = draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_period + 1))
+    max_preperiod = max(0, len(head) + draw(st.sampled_from([-1, 0, 1, 3])))
+    size = max_preperiod + 10 * max_period + draw(st.integers(0, 8))
+    seq = (head + block * size)[:size]
+    for _ in range(draw(st.integers(0, 2))):
+        seq[draw(st.integers(0, size - 1))] = draw(st.integers(-1, 3))
+    return seq, max_preperiod, max_period
+
+
 class TestDetectPeriod:
+    @given(st.one_of(period_cases(), period_cases(wide=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, case):
+        seq, max_preperiod, max_period = case
+        w = detect_period(seq, max_preperiod, max_period)
+        assert w == naive_witness(seq, max_preperiod, max_period)
+        assert w is None or verify_witness(seq, w)
+
+    @given(period_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_input_types_agree(self, case):
+        seq, max_preperiod, max_period = case
+        expected = naive_witness(seq, max_preperiod, max_period)
+        text = "".join("#abcd"[v + 1] for v in seq)
+        mixed = [F(1) if v == 1 and i % 2 else v for i, v in enumerate(seq)]
+        for form in (text, tuple(seq), iter(seq), mixed):
+            assert detect_period(form, max_preperiod, max_period) == expected
+        if expected:
+            assert verify_witness(text, expected) and verify_witness(iter(seq), expected)
+
+    @given(st.lists(st.integers(0, 2), max_size=30), st.integers(0, 35), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_verify_witness_matches_brute_force(self, seq, preperiod, period):
+        w = PeriodWitness(preperiod, period)
+        expected = naive_verify(seq, w)
+        text = "".join("abc"[v] for v in seq)
+        for form in (seq, tuple(seq), text, iter(seq)):
+            assert verify_witness(form, w) == expected
+
+    def test_verify_witness_period_longer_than_sequence(self):
+        # a negative slice stop would compare [1] with [] and say False
+        assert verify_witness([1, 2, 3], PeriodWitness(0, 5))
+        assert verify_witness("abc", PeriodWitness(1, 3))
+
     def test_xyz_letter(self, xyz, xyz_seed):
         coeffs = [int(c) for c in char_series(xyz, xyz_seed, "y", 2999).coefficients]
         assert detect_period(coeffs, 1000, 200) == PeriodWitness(0, 2)
@@ -273,6 +346,8 @@ class TestDetectPeriod:
         seq = [7] * 50 + [1, 2] * 1500
         assert detect_period(seq, 49, 200) is None
         assert detect_period(seq, 50, 200) == PeriodWitness(50, 2)
+        assert detect_period([1, 2] * 20, 0, 2) == PeriodWitness(0, 2)
+        assert detect_period([9] + [1, 2] * 20, 0, 2) is None
 
     def test_many_distinct_values(self):
         # forces the wide integer encoding path
