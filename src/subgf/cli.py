@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import fibonacci as fib
@@ -260,7 +261,9 @@ def _geom(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="subgf",
         description="Exact analysis of substitutions and their generating functions.",

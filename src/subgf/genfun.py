@@ -31,6 +31,7 @@ from .substitutions import (
     FixedPointSeed,
     InconclusiveUpTo,
     Substitution,
+    _gap_bound,
 )
 
 
@@ -122,7 +123,7 @@ def _scan_positions(analysis, letter, n_terms, scan_bound=None) -> TruncatedSeri
     if scan_bound is None:
         witness = analysis.primitivity_witness
         if len(s.alphabet) >= 2 and witness is not None:
-            scan_bound = 2 * max(s.image_lengths(witness).values()) * (n_terms + 2)
+            scan_bound = _gap_bound(s, witness) * (n_terms + 2)
         else:
             scan_bound = 4 * n_terms + 64
     coeffs = [0]

@@ -159,14 +159,20 @@ def endpoint_sequence(
 
 
 def _endpoints(s: Substitution, lengths, prefix: str) -> list[TileLength]:
+    table = _checked_lengths(s, lengths)
+    zero = next(iter(table.values())) * 0
+    return list(accumulate((table[ch] for ch in prefix), initial=zero))
+
+
+def _checked_lengths(s: Substitution, lengths) -> dict[str, TileLength]:
+    """The length map, once every letter has a positive length."""
     table = _length_map(lengths)
     for letter in s.alphabet:
         if letter not in table:
             raise ValueError(f"no length for letter {letter!r}")
         if table[letter] <= 0:
             raise ValueError(f"length of {letter!r} must be positive")
-    zero = next(iter(table.values())) * 0
-    return list(accumulate((table[ch] for ch in prefix), initial=zero))
+    return table
 
 
 @dataclass(frozen=True)
@@ -255,14 +261,16 @@ def classify_two_letter(
 def classify_two_letter_of(
     analysis: Analysis, lengths, check_order: int = 1000
 ) -> TwoLetterClassification:
+    """Classify with positive tile lengths; only the equal-lengths and
+    periodic-rational cases build endpoints, to check check_order of them."""
     s = analysis.substitution
-    table = _length_map(lengths)
     if len(s.alphabet) != 2:
         raise WrongAlphabetSizeError("classification requires exactly two letters")
+    table = _checked_lengths(s, lengths)
     first, second = s.alphabet.letters
     g1, g2 = table[first], table[second]
-    points = _endpoints(s, table, analysis.prefix(check_order))
     if g1 == g2:
+        points = _endpoints(s, table, analysis.prefix(check_order))
         ok = all(points[n] == g1 * n for n in range(check_order + 1))
         return TwoLetterClassification(
             "equal-lengths", shared_length=g1, verified=ok
@@ -275,6 +283,7 @@ def classify_two_letter_of(
         form = rational_form_from_witness(analysis.indicator(first), witness)
         # G = difference * X * P / ((1-X)(1-X^d)) + second * X / (1-X)^2
         expanded = RationalForm(form.numerator, form.period, 1).expand(check_order)
+        points = _endpoints(s, table, analysis.prefix(check_order))
         ok = all(
             points[n]
             == (expanded.coefficients[n - 1] if n else 0) * (g1 - g2) + g2 * n

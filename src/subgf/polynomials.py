@@ -19,6 +19,40 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _sign_at(cs: list, num: int, shift_exp, den_pows) -> int:
+    """Sign of the homogeneous value sum(c_i * num**i * den**(d-i)), that of
+    p(num/den) for integer coefficients cs of p: the one exact integer sign
+    evaluator, shared with `realroots`."""
+    d = len(cs) - 1
+    if d < 0:
+        return 0
+    acc = cs[d]
+    if shift_exp is not None:  # denominator is a power of two: pure shifts
+        for i in range(d - 1, -1, -1):
+            acc *= num
+            c = cs[i]
+            if c:
+                acc += c << (shift_exp * (d - i))
+    else:
+        for i in range(d - 1, -1, -1):
+            acc *= num
+            c = cs[i]
+            if c:
+                acc += c * den_pows[d - i]
+    return 1 if acc > 0 else (-1 if acc < 0 else 0)
+
+
+def _point_data(x: Fraction, dmax: int):
+    """The arguments after cs of `_sign_at` at x, for degrees <= dmax."""
+    num, den = x.numerator, x.denominator
+    if den & (den - 1) == 0:  # power of two: shifts instead of multiplies
+        return num, den.bit_length() - 1, None
+    dp = [1] * (dmax + 1)
+    for i in range(1, dmax + 1):
+        dp[i] = dp[i - 1] * den
+    return num, None, dp
+
+
 def _coefficient(x):
     """x as an int when it is integral, else as a Fraction."""
     if type(x) is int:
@@ -152,22 +186,10 @@ class ExactPolynomial:
         return acc
 
     def sign_at(self, x) -> int:
-        """Exact sign of the value at a rational point, without building the
-        full value as a Fraction when coefficients are integers."""
-        x = _frac(x)
-        num, den = x.numerator, x.denominator
-        if all(type(c) is int for c in self._coeffs):
-            d = self.degree
-            if d < 0:
-                return 0
-            acc = self._coeffs[d]
-            dp = 1
-            for i in range(d - 1, -1, -1):
-                dp *= den
-                acc = acc * num + self._coeffs[i] * dp
-            return (acc > 0) - (acc < 0)
-        v = self(x)
-        return (v > 0) - (v < 0)
+        """Exact sign of the value at a rational point, computed in integers:
+        a positive multiple of self has the integer coefficients."""
+        ints, _ = self.integer_coefficients()
+        return _sign_at(ints, *_point_data(_frac(x), self.degree))
 
     def __divmod__(self, other: ExactPolynomial):
         if not isinstance(other, ExactPolynomial):

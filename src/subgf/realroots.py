@@ -25,8 +25,7 @@ Only the rare polynomial whose square-freeness the modular proof misses
 needs its exact square-free part, p / gcd(p, p'), with the gcd from a
 primitive remainder sequence in integers.  Sturm chains, an independent
 reference for the Descartes counts, live with the tests
-(`tests/sturm_reference.py`).  Coefficients use gmpy2 integers when
-available.
+(`tests/sturm_reference.py`).
 """
 from __future__ import annotations
 
@@ -34,6 +33,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from operator import add
 
 from .errors import (
@@ -43,14 +43,7 @@ from .errors import (
     RootPresentError,
     ZeroPolynomialError,
 )
-from .polynomials import ExactPolynomial, _frac
-
-try:
-    from gmpy2 import gcd as _gcd, mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from math import gcd as _gcd
-
-    _mpz = int
+from .polynomials import ExactPolynomial, _frac, _point_data, _sign_at
 
 _PRIME = 2**31 - 1  # modulus of the square-freeness proof
 
@@ -61,19 +54,9 @@ def _strip(cs: list) -> list:
     return cs
 
 
-def _icontent(cs) -> int:
-    g = 0
-    for c in cs:
-        if c:
-            g = _gcd(g, abs(c))
-            if g == 1:
-                return 1
-    return g if g else 1
-
-
 def _primitive(cs: list) -> list:
-    g = _icontent(cs)
-    if g != 1:
+    g = gcd(*cs)
+    if g > 1:
         cs = [c // g for c in cs]
     return cs
 
@@ -135,38 +118,6 @@ def _deflate_root(p: list, num: int, den: int) -> list:
     if carry:
         raise ArithmeticError("inexact deflation")
     return q
-
-
-def _sign_at(cs: list, num, shift_exp, den_pows) -> int:
-    """Sign of the homogeneous value sum(c_i * num**i * den**(d-i))."""
-    d = len(cs) - 1
-    if d < 0:
-        return 0
-    acc = cs[d]
-    if shift_exp is not None:  # denominator is a power of two: pure shifts
-        for i in range(d - 1, -1, -1):
-            acc *= num
-            c = cs[i]
-            if c:
-                acc += c << (shift_exp * (d - i))
-    else:
-        for i in range(d - 1, -1, -1):
-            acc *= num
-            c = cs[i]
-            if c:
-                acc += c * den_pows[d - i]
-    return 1 if acc > 0 else (-1 if acc < 0 else 0)
-
-
-def _point_data(x: Fraction, dmax: int):
-    num, den = _mpz(x.numerator), x.denominator
-    if den & (den - 1) == 0:  # power of two: shifts instead of multiplies
-        return num, den.bit_length() - 1, None
-    dp = [_mpz(1)] * (dmax + 1)
-    d = _mpz(den)
-    for i in range(1, dmax + 1):
-        dp[i] = dp[i - 1] * d
-    return num, None, dp
 
 
 # -- Descartes' rule of signs ------------------------------------------------
@@ -280,7 +231,7 @@ class RootIsolator:
         self.polynomial = polynomial
         if _part is None:
             ints, _ = polynomial.integer_coefficients()
-            _part = _primitive([_mpz(c) for c in ints])
+            _part = _primitive(ints)
         self._cs = _part
         self._is_square_free = _is_square_free
         self._signs: dict[Fraction, int] = {}
@@ -301,8 +252,8 @@ class RootIsolator:
         x = _frac(x)
         sign = self._signs.get(x)
         if sign is None:
-            num, e, dp = _point_data(x, len(self._cs) - 1)
-            sign = self._signs[x] = _sign_at(self._cs, num, e, dp)
+            point = _point_data(x, len(self._cs) - 1)
+            sign = self._signs[x] = _sign_at(self._cs, *point)
         return sign
 
     def variations(self, lower, upper) -> int:

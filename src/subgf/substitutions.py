@@ -355,13 +355,14 @@ def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
     roots = RootIsolator(char)
     # the dominant eigenvalue lies in [1, max row sum]; rational roots of a
     # monic integer polynomial are integers, so no root can sit at 1/2
-    lower = Fraction(1, 2)
-    upper = Fraction(max(m.row_sums()) + 1)
-    lo, hi = isolate_max_root(roots, lower, upper, Fraction(1, 2**32))
+    upper = max(m.row_sums()) + 1
+    lo, hi = isolate_max_root(roots, Fraction(1, 2), upper, _PF_WIDTH / 2)
     lo, hi = separate_max_root(roots, lo, hi)
     # the dominant eigenvalue is a simple root of char and its only root in
     # (lo, hi], so exactly the irreducible factor vanishing there changes
-    # sign across the bracket; a factor vanishing at lo is X - lo itself
+    # sign across the bracket; a factor vanishing at lo is X - lo itself.
+    # Bisection asks only whether the largest root lies above a midpoint,
+    # the same question for char and that factor: the bracket is its enclosure.
     candidates = [
         f
         for f in dict.fromkeys(_irreducible_factors(char))
@@ -373,17 +374,13 @@ def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
     if min_poly.degree == 1:
         root = -min_poly.coefficient(0)
         half = _PF_WIDTH / 4
-        plo, phi = root - half, root + half
-    else:
-        min_roots = RootIsolator(min_poly)
-        plo, phi = isolate_max_root(min_roots, lower, upper, _PF_WIDTH / 2)
-        plo, phi = separate_max_root(min_roots, plo, phi)
-    assert min_poly.sign_at(plo) * min_poly.sign_at(phi) < 0
+        lo, hi = root - half, root + half
+    assert min_poly.sign_at(lo) * min_poly.sign_at(hi) < 0
     return PFData(
         char_poly=char,
         min_poly_of_pf=min_poly,
-        pf_lower=plo,
-        pf_upper=phi,
+        pf_lower=lo,
+        pf_upper=hi,
         is_rational=min_poly.degree == 1,
         primitivity_witness=witness,
     )
@@ -457,12 +454,16 @@ def fixed_word_prefix(s: Substitution, seed: FixedPointSeed, n: int) -> str:
 def gap_bound(s: Substitution) -> int:
     """Upper bound for the gap between successive copies of any letter in a
     fixed word: twice the longest image length at the primitivity witness."""
-    matrix = substitution_matrix(s)
-    witness = is_primitive(matrix)
+    witness = is_primitive(substitution_matrix(s))
     if witness is None:
         raise NotPrimitiveError("substitution is not primitive")
     if len(s.alphabet) < 2:
         raise WrongAlphabetSizeError("gap bound needs at least two letters")
+    return _gap_bound(s, witness)
+
+
+def _gap_bound(s: Substitution, witness: int) -> int:
+    """`gap_bound` for a primitive s with primitivity witness `witness`."""
     return 2 * max(s.image_lengths(witness).values())
 
 
@@ -492,6 +493,9 @@ DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
 # accepts; larger bounds raise TooLargeError up front.  10**6 letters take
 # about 4 s and 111 MB for `analyze` on xyz (2-vCPU VM).
 MAX_SEARCH_LETTERS = 10**6
+# Largest extended prefix, sigma**power of the base prefix, that an Analysis
+# builds; a longer one raises TooLargeError before any of it is built.
+MAX_EXTENDED_LETTERS = 10**7
 
 
 def aperiodicity_verdict(
@@ -555,9 +559,15 @@ class Analysis:
 
     @cached_property
     def extended_prefix(self) -> str:
-        """sigma**power of the first `need` letters: a longer prefix."""
+        """sigma**power of the first `need` letters, up to MAX_EXTENDED_LETTERS."""
         lengths = self.substitution.image_lengths(self.seed.power)
-        return self.prefix(sum(lengths[ch] for ch in self.prefix(self.need)))
+        n = sum(map(lengths.__getitem__, self.prefix(self.need)))
+        if n > MAX_EXTENDED_LETTERS:
+            raise TooLargeError(
+                f"extended prefix of {n} letters exceeds the limit of "
+                f"{MAX_EXTENDED_LETTERS}"
+            )
+        return self.prefix(n)
 
     def indicator(self, letter: str) -> list[int]:
         """0/1 sequence of the letter over the first `need` letters."""
@@ -574,7 +584,8 @@ class Analysis:
         """Each letter's raw witness if it also explains the extended prefix."""
         out = {a: self.raw_witness(a) for a in self.substitution.alphabet}
         for a, w in out.items():
-            if w and not verify_witness([int(ch == a) for ch in self.extended_prefix], w):
+            ones = {ord(b): "01"[b == a] for b in out}  # a's 0/1 indicator
+            if w and not verify_witness(self.extended_prefix.translate(ones), w):
                 out[a] = None
         return out
 

@@ -8,14 +8,11 @@ theorem).  It shares only the integer helpers with the Descartes code.
 from __future__ import annotations
 
 from subgf.errors import EndpointIsRootError, ZeroPolynomialError
-from subgf.polynomials import ExactPolynomial, _frac
+from subgf.polynomials import ExactPolynomial, _frac, _point_data, _sign_at
 from subgf.realroots import (
     _exact_div_int,
-    _mpz,
     _neg_prem_primitive,
-    _point_data,
     _primitive,
-    _sign_at,
     _strip,
 )
 
@@ -43,7 +40,7 @@ class SturmChain:
             raise ZeroPolynomialError("cannot build a Sturm chain of 0")
         self.polynomial = polynomial
         ints, _ = polynomial.integer_coefficients()
-        work = _primitive([_mpz(c) for c in ints])
+        work = _primitive(ints)
         while True:
             chain = _build_chain(work)
             if len(chain) == 1 or len(chain[-1]) == 1:

@@ -120,6 +120,30 @@ def test_period_search_over_the_limit_refused_up_front(capsys, argv):
     assert "exceeds the limit of 1000000" in err
 
 
+def test_extended_prefix_over_the_limit_refused_before_it_is_built(capsys, tmp_path):
+    # lambda = 1001 and a period-2 witness in the 10**6-letter base prefix:
+    # sigma of that prefix has 1.001 * 10**9 letters
+    rules = tmp_path / "wide.sub"
+    rules.write_text(f"a -> {'ab' * 500}a\nb -> {'ba' * 500}b\n")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "analyze", str(rules), "--max-preperiod", "0", "--max-period", "100000"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "extended prefix of 1001000000 letters exceeds the limit of 10000000" in err
+
+
+def test_extended_prefix_limit_is_inclusive(monkeypatch):
+    fib = substitutions.parse_substitution((DATA / "fib.sub").read_text())
+    n = len(substitutions.Analysis(fib).extended_prefix)
+    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", n)
+    assert len(substitutions.Analysis(fib).extended_prefix) == n
+    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", n - 1)
+    with pytest.raises(substitutions.TooLargeError):
+        substitutions.Analysis(fib).extended_prefix
+
+
 def test_large_period_bound_pinned(capsys):
     # recorded with the period search that XORs both shifted copies for every
     # candidate d (43 s there); a search that is quadratic again shows as a

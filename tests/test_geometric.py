@@ -16,6 +16,7 @@ from subgf.genfun import summatory_transform, char_series
 from subgf.polynomials import ExactPolynomial as P
 from subgf.quadratic import QuadraticReal as Q
 from subgf.substitutions import (
+    fixed_point_seed,
     fixed_word_prefix,
     parse_substitution,
     pf_data,
@@ -176,3 +177,16 @@ class TestClassification:
     def test_needs_two_letters(self, xyz, xyz_seed):
         with pytest.raises(WrongAlphabetSizeError):
             classify_two_letter(xyz, xyz_seed, natural_lengths(xyz))
+
+    @pytest.mark.parametrize("lengths", [
+        {"a": F(-1), "b": F(1)},
+        {"a": F(0), "b": F(0)},
+        {"a": F(1)},
+    ])
+    def test_lengths_checked_in_every_case(self, corpus, lengths):
+        # fib is transcendental, abab periodic-rational, thue_morse
+        # inconclusive with unequal lengths; none builds endpoints first
+        for name in ("fib", "abab", "thue_morse"):
+            s = corpus[name]
+            with pytest.raises(ValueError):
+                classify_two_letter(s, fixed_point_seed(s), lengths)

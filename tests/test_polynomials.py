@@ -7,6 +7,7 @@ from subgf.fibonacci import pair_polynomials
 from subgf.genfun import rational_form_from_witness
 from subgf.periodicity import PeriodWitness
 from subgf.polynomials import ExactPolynomial as P, X
+from subgf.realroots import RootIsolator
 from subgf.substitutions import (
     characteristic_polynomial,
     parse_substitution,
@@ -124,6 +125,28 @@ def test_ring_homomorphism_at_points(f, g, x):
     assert (f + g)(x) == f(x) + g(x)
     assert (f * g)(x) == f(x) * g(x)
     assert f.sign_at(x) == (f(x) > 0) - (f(x) < 0)
+
+
+int_polys = st.lists(st.integers(-10**12, 10**12), max_size=12).map(P)
+dyadic = st.builds(
+    lambda n, k: F(n, 2**k), st.integers(-10**6, 10**6), st.integers(0, 64)
+)
+non_dyadic = st.fractions(max_denominator=10**9).filter(
+    lambda x: x.denominator & (x.denominator - 1)
+)
+
+
+@given(int_polys, st.one_of(dyadic, non_dyadic), st.booleans())
+def test_integer_sign_evaluators_agree(p, x, root_at_x):
+    if root_at_x:  # make x a root, so sign 0 is checked too
+        p = p * P([-x.numerator, x.denominator])
+    value = F(0)
+    for c in reversed(p.coefficients):
+        value = value * x + c
+    expected = (value > 0) - (value < 0)
+    assert p.sign_at(x) == expected
+    if not p.is_zero:
+        assert RootIsolator(p).sign_at(x) == expected
 
 
 @given(polys, polys)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from subgf.errors import (
     UnknownLetterError,
     WrongAlphabetSizeError,
 )
+from subgf import substitutions
 from subgf.cli import main
 from subgf.genfun import _scan_positions, position_series
 from subgf.polynomials import ExactPolynomial as P
@@ -209,6 +211,41 @@ class TestPFData:
             upper = Rational(data.pf_upper.numerator, data.pf_upper.denominator)
             assert lower < root < upper, rows
             checked[k] += 1
+
+
+    def test_one_root_isolation(self, corpus, monkeypatch):
+        built = []
+        isolator = substitutions.RootIsolator
+        monkeypatch.setattr(
+            substitutions, "RootIsolator", lambda p: built.append(p) or isolator(p)
+        )
+        for s in corpus.values():
+            pf_data(substitution_matrix(s))
+        assert len(built) == len(corpus)
+
+    def test_pf_data_pinned_on_random_primitive_matrices(self):
+        # recorded with the enclosure from a second isolation on the minimal
+        # polynomial; one isolation on the char poly must give the same bytes
+        rng = random.Random(1976)
+        digest = hashlib.sha256()
+        done = 0
+        while done < 200:
+            k = done % 4 + 2
+            rows = [[rng.choice((0, 0, 0, 1, 1, 2, 3)) for _ in range(k)] for _ in range(k)]
+            for i, row in enumerate(rows):
+                row[i] += sum(row) == 0  # every row must sum to at least 1
+            m = SubstitutionMatrix(tuple(map(tuple, rows)))
+            if is_primitive(m) is None:
+                continue
+            d = pf_data(m)
+            digest.update(
+                f"{d.char_poly.coefficients};{d.min_poly_of_pf.coefficients};"
+                f"{d.pf_lower};{d.pf_upper}\n".encode()
+            )
+            done += 1
+        assert digest.hexdigest() == (
+            "81bedb2639c81a6a500cafc273d15d93d41a6692834a8624f18061b0a4c3a019"
+        )
 
 
 class TestFixedPoints:
