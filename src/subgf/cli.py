@@ -6,6 +6,7 @@ precondition violation, 3 inconclusive verdict under --strict.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -27,6 +28,7 @@ from .serialize import (
     canonical_dumps,
     certificate_json,
     frac_str,
+    poly_json,
     quadratic_json,
     rational_form_json,
     series_json,
@@ -92,8 +94,8 @@ def _analyze(args) -> int:
     else:
         data = analysis.pf
         report["pf"] = {
-            "char_poly": [frac_str(c) for c in data.char_poly.coefficients],
-            "min_poly": [frac_str(c) for c in data.min_poly_of_pf.coefficients],
+            "char_poly": poly_json(data.char_poly),
+            "min_poly": poly_json(data.min_poly_of_pf),
             "is_rational": data.is_rational,
             "enclosure": {
                 "lower": frac_str(data.pf_lower),
@@ -137,7 +139,7 @@ def _classification_json(cls) -> dict:
     if cls.case == "equal-lengths":
         out["length"] = value_str(cls.shared_length)
     elif cls.case == "periodic-rational":
-        out["numerator"] = [frac_str(c) for c in cls.numerator.coefficients]
+        out["numerator"] = poly_json(cls.numerator)
         out["period_d"] = cls.period
         out["difference"] = value_str(cls.difference)
         out["second_weight"] = value_str(cls.second_weight)
@@ -198,11 +200,10 @@ def _period(args) -> int:
 
 
 def _roots(args) -> int:
-    tolerance = Fraction(args.tol)
-    bound = fib.positivity_bound(args.level, tolerance)
+    bound = fib.positivity_bound(args.level, args.tol)
     payload = {
         "level": bound.level,
-        "tolerance": frac_str(tolerance),
+        "tolerance": frac_str(args.tol),
         "alpha_hat": frac_str(bound.alpha_hat),
         "alpha_hat_decimal": value_decimal(bound.alpha_hat, 12),
         "binding": bound.binding,
@@ -225,12 +226,12 @@ def _geom(args) -> int:
         exact = lengths.exact
         radicand = lengths.radicand
     else:
-        parts = args.lengths.split(",")
+        parts = args.lengths
         if len(parts) != len(s.alphabet):
             raise SubgfError(
                 f"need {len(s.alphabet)} lengths, got {len(parts)}"
             )
-        table = {a: Fraction(p) for a, p in zip(s.alphabet, parts)}
+        table = dict(zip(s.alphabet, parts))
         exact = True
         radicand = None
     prefix = analysis.prefix(args.order)
@@ -259,6 +260,29 @@ def _geom(args) -> int:
     if args.strict and inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
+
+
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d*)")
+
+
+def _rational(text: str) -> Fraction:
+    """A rational command-line literal (p/q, decimal or scientific), refused
+    as a usage error when malformed, over a zero denominator, or with a
+    decimal exponent of more than two digits, before any big integer is
+    built."""
+    exponent = _EXPONENT.search(text)
+    if exponent and len(exponent[1]) > 2:
+        raise argparse.ArgumentTypeError(
+            f"exponent of more than two digits in {text!r}"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _lengths(text: str):
+    return text if text == "natural" else [_rational(p) for p in text.split(",")]
 
 
 @cache
@@ -304,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="certified positivity bound at a pair level")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", default="1e-8",
+    p.add_argument("--tol", type=_rational, default="1e-8",
                    help="rational or scientific tolerance, e.g. 1e-8 or 1/100000000")
     p.set_defaults(run=_roots)
 
     p = sub.add_parser("geom", help="geometric realisation and classification")
     p.add_argument("file")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--lengths", default="natural",
+    p.add_argument("--lengths", type=_lengths, default="natural",
                    help="'natural' or comma-separated rationals per letter")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)

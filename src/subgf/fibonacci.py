@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import NoRootInIntervalError, TooLargeError
-from .genfun import char_prefix_poly, char_series
+from .genfun import _level_table, char_series
 from .polynomials import ExactPolynomial
 from .realroots import (
     ExclusionCertificate,
@@ -37,8 +37,11 @@ MAX_SUPERTILE_LEVEL = 40
 # ~1.1e4 at 6.  On a 2-vCPU VM with pure-Python integers, `roots --level 5`
 # took 6.5 s and `roots --level 6` 572 s at 92 MB, so level 6 is refused
 MAX_PAIR_LEVEL = 5
-
-_PAIR_LABELS = ("R", "S", "T")
+# a finer tolerance costs more bisection steps on longer rationals: level 4
+# took 0.48 s at 1e-30, 1.2 s at 1e-60 and 5.1 s at 1e-100, and level 5
+# 9.7 s at 1e-30 (same VM).  A tolerance of 1 or more stops at the bracket
+# (-1, 0], alpha_hat = 0, and would certify the empty (0, 0)
+MIN_TOLERANCE = Fraction(1, 10**30)
 
 
 def fibonacci_numbers(count: int) -> list[int]:
@@ -94,42 +97,29 @@ def supertile_lengths(n: int) -> tuple[int, int, int]:
 
 
 def pair_polynomials(n: int) -> SupertilePolys:
-    """Pair polynomials at level n, computed by the block recursion
+    """Pair polynomials at level n: the level-1 blocks sigma**3(ab),
+    sigma**3(aa) and sigma**3(ba) carried n - 1 levels by the induced
+    substitution's block recursion
 
         R' = R S T T,   S' = R' R,   T' = R S T R
 
-    from the explicitly expanded level-1 blocks; words are never expanded
-    beyond level 1 and all exponents come from Fibonacci numbers."""
+    (`genfun._level_table`), so words are never expanded beyond level 1."""
     if n < 1:
         raise ValueError("pair level must be >= 1")
     if n > MAX_PAIR_LEVEL:
         raise TooLargeError(
             f"pair level {n} exceeds the supported range {MAX_PAIR_LEVEL}"
         )
-    a3, b3 = supertile_word(3, "A"), supertile_word(3, "B")
-    poly_r = char_prefix_poly(a3 + b3, "a")
-    poly_s = char_prefix_poly(a3 + a3, "a")
-    poly_t = char_prefix_poly(b3 + a3, "a")
-    level = 1
-    while level < n:
-        fib = fibonacci_numbers(3 * level + 5)
-        f32, f33, f34 = fib[3 * level + 1], fib[3 * level + 2], fib[3 * level + 3]
-        next_r = (
-            poly_r
-            + poly_s.shift(f33)
-            + (poly_t + poly_t.shift(f33)).shift(f33 + 2 * f32)
-        )
-        next_s = next_r + poly_r.shift(3 * f33 + 2 * f32)
-        next_t = (
-            poly_r
-            + poly_s.shift(f33)
-            + poly_t.shift(f33 + 2 * f32)
-            + poly_r.shift(2 * f34)
-        )
-        poly_r, poly_s, poly_t = next_r, next_s, next_t
-        level += 1
-    len_r, len_s, len_t = supertile_lengths(n)
-    return SupertilePolys(n, poly_r, poly_s, poly_t, len_r, len_s, len_t)
+    base = {
+        block: [int(ch == "a") for ch in FIBONACCI.apply_power(pair, 3)]
+        for block, pair in zip("rst", ("ab", "aa", "ba"))
+    }
+    lists = _level_table(induced_three_letter_substitution(), base, n - 1)
+    return SupertilePolys(
+        n,
+        *(ExactPolynomial(lists[b]) for b in "rst"),
+        *(len(lists[b]) for b in "rst"),
+    )
 
 
 def induced_three_letter_substitution() -> Substitution:
@@ -258,8 +248,8 @@ def positivity_bound(n: int, tolerance=Fraction(1, 10**8)) -> PositivityBound:
     return a rational upper bound within `tolerance`, and certify all three
     polynomials positive on (alpha_hat, 0) from the isolation's own counts."""
     tolerance = Fraction(tolerance)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not MIN_TOLERANCE <= tolerance < 1:
+        raise ValueError(f"tolerance must lie in [{float(MIN_TOLERANCE):g}, 1)")
     polys = pair_polynomials(n)
     low, zero = Fraction(-1), Fraction(0)
     # a root exactly at -1 (the S blocks always have one) is outside the

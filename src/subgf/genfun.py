@@ -12,7 +12,7 @@ certificates are rationals, and there is no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, chain, compress, count, islice
 from typing import Optional, Union
 
 from .errors import (
@@ -183,72 +183,45 @@ def concat_pos(
     return out
 
 
-def _char_level_table(s: Substitution, target: str, level: int) -> dict[str, list[int]]:
-    """coeff lists of the indicator polynomial of `target` in sigma**level of
-    every letter, assembled from image lengths without expanding words."""
-    cur = {a: ([1] if a == target else []) for a in s.alphabet}
-    lengths = {a: 1 for a in s.alphabet}
+def _level_table(s: Substitution, table: dict, level: int) -> dict[str, list]:
+    """Dense coefficient lists over sigma**level of every letter, from the
+    lists `table` over each letter's block: the one block recursion.  A
+    letter's list is the concatenation of the lists of its image, which is
+    `concat_char` on dense lists, and a list's length is its block length."""
     for _ in range(level):
-        nxt = {}
-        for a in s.alphabet:
-            total = sum(lengths[b] for b in s.image(a))
-            acc = [0] * total
-            off = 0
-            for b in s.image(a):
-                seg = cur[b]
-                acc[off : off + len(seg)] = seg
-                off += lengths[b]
-            nxt[a] = acc
-        cur = nxt
-        lengths = {a: sum(lengths[b] for b in s.image(a)) for a in s.alphabet}
-    return cur
+        table = {
+            a: list(chain.from_iterable(table[b] for b in s.image(a)))
+            for a in s.alphabet
+        }
+    return table
+
+
+def _indicator_list(s: Substitution, target: str, source: str, level: int) -> list:
+    """0/1 list of `target` over sigma**level(source), by `_level_table`."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    for letter in (target, source):
+        if letter not in s.alphabet:
+            raise KeyError(f"letter {letter!r} not in alphabet")
+    base = {a: [int(a == target)] for a in s.alphabet}
+    return _level_table(s, base, level)[source]
 
 
 def recursive_char_poly(
     s: Substitution, target: str, source: str, level: int
 ) -> ExactPolynomial:
     """Indicator polynomial of `target` in sigma**level(source), computed by
-    the concatenation recursion with exponents taken from image lengths."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    for letter in (target, source):
-        if letter not in s.alphabet:
-            raise KeyError(f"letter {letter!r} not in alphabet")
-    table = _char_level_table(s, target, level)
-    return ExactPolynomial(table[source])
+    the concatenation recursion without expanding words."""
+    return ExactPolynomial(_indicator_list(s, target, source, level))
 
 
 def recursive_pos_poly(
     s: Substitution, target: str, source: str, level: int
 ) -> ExactPolynomial:
-    """Position polynomial of `target` in sigma**level(source), via repeated
-    application of the concatenation law with counts and lengths from the
-    substitution matrix powers."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    for letter in (target, source):
-        if letter not in s.alphabet:
-            raise KeyError(f"letter {letter!r} not in alphabet")
-    # per letter: (dense position coefficients, occurrence count, length)
-    cur = {a: ([0], 1 if a == target else 0, 1) for a in s.alphabet}
-    for _ in range(level):
-        nxt = {}
-        for a in s.alphabet:
-            acc = [0]
-            cnt = 0
-            off = 0
-            for b in s.image(a):
-                poly_b, cnt_b, len_b = cur[b]
-                if cnt_b:
-                    acc.extend([0] * (cnt + cnt_b + 1 - len(acc)))
-                    for j in range(1, cnt_b + 1):
-                        shifted = poly_b[j] if j < len(poly_b) else 0
-                        acc[cnt + j] = shifted + off
-                cnt += cnt_b
-                off += len_b
-            nxt[a] = (acc, cnt, off)
-        cur = nxt
-    return ExactPolynomial(cur[source][0])
+    """Position polynomial of `target` in sigma**level(source): the positions
+    of the 1s in the recursion's indicator list."""
+    hits = _indicator_list(s, target, source, level)
+    return ExactPolynomial([0, *compress(count(), hits)])
 
 
 def difference_transform(ts: TruncatedSeries, m: int) -> TruncatedSeries:

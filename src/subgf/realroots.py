@@ -412,6 +412,8 @@ def _root_free_certificate(
     """The certificate for a p already proved to have no root in the open
     (lower, upper): p keeps one sign there, so its exact sign at the
     midpoint decides positivity."""
+    if not lower < upper:
+        raise ValueError("need lower < upper")
     sample = (lower + upper) / 2
     sign = p.sign_at(sample)
     if sign < 0:

@@ -188,6 +188,26 @@ class TestRoots:
         assert "exceeds the supported range 5" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["roots", "--level", "2", "--tol", "1"], 2),
+    (["roots", "--level", "2", "--tol", "2"], 2),
+    (["roots", "--level", "5", "--tol", "1e-99"], 2),
+    (["roots", "--level", "5", "--tol", "1/" + "1" + "0" * 31], 2),
+    (["roots", "--level", "2", "--tol", "1/0"], 1),
+    (["roots", "--level", "2", "--tol", "x"], 1),
+    (["roots", "--level", "2", "--tol", "1e999999999"], 1),
+    (["roots", "--level", "4", "--tol", "1e-300"], 1),
+    (["geom", str(DATA / "fib.sub"), "--lengths", "1/0,1"], 1),
+    (["geom", str(DATA / "fib.sub"), "--lengths", "1e999999999,1"], 1),
+])
+def test_bad_rational_literal_refused_up_front(capsys, argv, code):
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (got, out) == (code, "")
+    assert "error" in err and "Traceback" not in err
+
+
 class TestGeom:
     def test_natural_json(self, capsys):
         code, out, _ = run(capsys, "geom", str(DATA / "fib.sub"), "--order", "64")

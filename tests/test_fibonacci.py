@@ -6,6 +6,7 @@ from subgf.errors import TooLargeError
 from subgf.fibonacci import (
     FIBONACCI,
     FIBONACCI_SEED,
+    MIN_TOLERANCE,
     block_sequence,
     fib_position_identities,
     fibonacci_numbers,
@@ -100,6 +101,11 @@ class TestPairPolynomials:
             608, 753, 609,
         )
 
+    def test_lengths_are_supertile_lengths(self):
+        for n in range(1, 6):
+            sp = pair_polynomials(n)
+            assert (sp.len_r, sp.len_s, sp.len_t) == supertile_lengths(n)
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             pair_polynomials(0)
@@ -190,6 +196,15 @@ class TestPositivityBounds:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             positivity_bound(1, 0)
+        with pytest.raises(ValueError):
+            positivity_bound(1, 1)
+        with pytest.raises(ValueError):
+            positivity_bound(1, MIN_TOLERANCE / 10)
+
+    def test_tolerance_floor_is_accepted(self):
+        bound = positivity_bound(1, MIN_TOLERANCE)
+        lo, hi = bound.bracket
+        assert hi == bound.alpha_hat and hi - lo <= MIN_TOLERANCE
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_certificates_match_descartes_on_the_interval(self, level):

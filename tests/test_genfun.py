@@ -34,7 +34,7 @@ from subgf.genfun import (
 )
 from subgf.periodicity import PeriodWitness, detect_period, verify_witness
 from subgf.polynomials import ExactPolynomial as P
-from subgf.substitutions import InconclusiveUpTo, parse_substitution
+from subgf.substitutions import InconclusiveUpTo, Substitution, parse_substitution
 
 
 class TestPrefixPolynomials:
@@ -205,6 +205,27 @@ class TestRecursion:
                         char_prefix_poly(word, target)
                     assert recursive_pos_poly(s, target, source, m) == \
                         position_prefix_poly(word, target)
+
+
+@st.composite
+def substitutions(draw):
+    """Random substitutions on 1-4 letters with images of 1-4 letters,
+    primitive or not."""
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    image = st.text(letters, min_size=1, max_size=4)
+    return Substitution.from_rules({a: draw(image) for a in letters})
+
+
+@given(substitutions(), st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_recursion_matches_word_expansion(s, level, data):
+    target = data.draw(st.sampled_from(s.alphabet.letters))
+    source = data.draw(st.sampled_from(s.alphabet.letters))
+    word = s.apply_power(source, level)
+    assert recursive_char_poly(s, target, source, level) == \
+        char_prefix_poly(word, target)
+    assert recursive_pos_poly(s, target, source, level) == \
+        position_prefix_poly(word, target)
 
 
 class TestTransforms:

@@ -17,6 +17,7 @@ from subgf.genfun import char_prefix_poly
 from subgf.polynomials import ExactPolynomial as P
 from subgf.realroots import (
     RootIsolator,
+    _root_free_certificate,
     certify_positive,
     isolate_max_root,
     separate_max_root,
@@ -118,6 +119,12 @@ def test_certificate_rejects_root_in_interval():
         certify_positive(P([-2, 0, 1]), 1, 2)
     lo, hi = err.value.bracket
     assert lo * lo < 2 < hi * hi
+
+
+def test_root_free_certificate_needs_a_nonempty_interval():
+    for lower, upper in ((F(0), F(0)), (F(1), F(0))):
+        with pytest.raises(ValueError):
+            _root_free_certificate(P([1]), lower, upper)
 
 
 def test_certificate_rejects_negative():
