@@ -230,11 +230,6 @@ class ExactPolynomial:
         den = lcm(*(c.denominator for c in self._coeffs))
         return [c.numerator * (den // c.denominator) for c in self._coeffs], den
 
-    def monic(self) -> ExactPolynomial:
-        if not self._coeffs:
-            return self
-        return self * Fraction(1, self.leading_coefficient)
-
     def to_string(self, var: str = "X") -> str:
         if not self._coeffs:
             return "0"

@@ -199,12 +199,21 @@ def _taylor_shift(cs: list, n: int) -> list:
 
 
 def _descartes(cs: list, lower: Fraction, upper: Fraction) -> int:
-    """Sign variations of (1 + x)^d p(e + (f - e)/(1 + x)), where {e, f} =
-    {lower, upper} and the shift goes to the endpoint e with the smaller
-    denominator.  Built as integers: scale, shift by e, scale by f - e,
-    reverse, shift by 1.  The integer forms differ from the rational ones
-    by positive factors, which leave the variations alone."""
-    e, f = (upper, lower) if upper.denominator < lower.denominator else (lower, upper)
+    """Descartes' bound on the roots of p in (lower, upper): the variations
+    from the endpoint with the smaller denominator, and from 0 on a tie,
+    whose shift is free (on (-1, 0) the shift by 1 then runs on the
+    coefficients of p up to sign, not on those of p(x - 1))."""
+    if (upper.denominator, upper != 0) < (lower.denominator, lower != 0):
+        return _variations_from(cs, upper, lower)
+    return _variations_from(cs, lower, upper)
+
+
+def _variations_from(cs: list, e: Fraction, f: Fraction) -> int:
+    """Sign variations of (1 + x)^d p(e + (f - e)/(1 + x)).  Built as
+    integers: scale, shift by e, scale by f - e, reverse, shift by 1.  The
+    integer forms differ from the rational ones by positive factors, which
+    leave the variations alone.  The transforms from e and from f are each
+    other's reversals, so both count the same."""
     shifted = _taylor_shift(_scaled(cs, 1, e.denominator), e.numerator)
     width = (f - e) * e.denominator
     reversed_ = _scaled(shifted, width.numerator, width.denominator)[::-1]

@@ -27,6 +27,7 @@ from .errors import (
     UnknownLetterError,
     WrongAlphabetSizeError,
 )
+from .factoring import irreducible_factors
 from .periodicity import PeriodWitness, detect_period, verify_witness
 from .polynomials import ExactPolynomial
 from .realroots import RootIsolator, isolate_max_root, separate_max_root
@@ -284,51 +285,6 @@ def characteristic_polynomial(m: SubstitutionMatrix) -> ExactPolynomial:
     return ExactPolynomial(coeffs)
 
 
-def _irreducible_factors(p: ExactPolynomial) -> list[ExactPolynomial]:
-    """Monic irreducible factors (with multiplicity) of a monic integer
-    polynomial.  Rational roots of monic integer polynomials are integers,
-    so degrees 2 and 3 are irreducible once integer roots are stripped;
-    higher degrees fall back to sympy."""
-    factors: list[ExactPolynomial] = []
-    work = p.monic()
-    x = ExactPolynomial((0, 1))
-    while work.degree > 0 and work.coefficient(0) == 0:
-        factors.append(x)
-        work = work.exact_div(x)
-    const = abs(work.coefficient(0))
-    if work.degree > 0 and const:
-        for r in sorted(_divisors(const), key=abs):
-            for root in (r, -r):
-                lin = ExactPolynomial((-root, 1))
-                while work.degree > 0 and work.sign_at(root) == 0:
-                    factors.append(lin)
-                    work = work.exact_div(lin)
-    if work.degree in (1, 2, 3):
-        factors.append(work)
-    elif work.degree >= 4:
-        from sympy import Poly, symbols  # deferred: only needed for k >= 4
-
-        var = symbols("x")
-        coeffs = list(reversed(work.coefficients))
-        _, parts = Poly(coeffs, var).factor_list()
-        for fac, mult in parts:
-            g = ExactPolynomial([int(c) for c in reversed(fac.all_coeffs())])
-            factors.extend([g.monic()] * mult)
-    return factors
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
 @dataclass(frozen=True)
 class PFData:
     """Perron-Frobenius data of a primitive substitution matrix."""
@@ -365,7 +321,7 @@ def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
     # the same question for char and that factor: the bracket is its enclosure.
     candidates = [
         f
-        for f in dict.fromkeys(_irreducible_factors(char))
+        for f in map(ExactPolynomial, irreducible_factors(list(char.coefficients)))
         if f.sign_at(lo) not in (0, f.sign_at(hi))
     ]
     if len(candidates) != 1:
@@ -493,8 +449,10 @@ DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
 # accepts; larger bounds raise TooLargeError up front.  10**6 letters take
 # about 4 s and 111 MB for `analyze` on xyz (2-vCPU VM).
 MAX_SEARCH_LETTERS = 10**6
-# Largest extended prefix, sigma**power of the base prefix, that an Analysis
-# builds; a longer one raises TooLargeError before any of it is built.
+# Largest prefix of the fixed word that an Analysis builds: `expand --n`,
+# the orders of `series` and `geom`, and the extended prefix, sigma**power of
+# the base prefix.  A longer one raises TooLargeError before any of it is
+# built.
 MAX_EXTENDED_LETTERS = 10**7
 
 
@@ -545,6 +503,10 @@ class Analysis:
         """The first n letters of the fixed word; resolves the seed even if n = 0."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
+        if n > MAX_EXTENDED_LETTERS:
+            raise TooLargeError(
+                f"prefix of {n} letters exceeds the limit of {MAX_EXTENDED_LETTERS}"
+            )
         seed = self.seed
         if len(self._word) < n:
             self._pieces = self._pieces or _blocks(self.substitution, seed)
@@ -562,12 +524,10 @@ class Analysis:
         """sigma**power of the first `need` letters, up to MAX_EXTENDED_LETTERS."""
         lengths = self.substitution.image_lengths(self.seed.power)
         n = sum(map(lengths.__getitem__, self.prefix(self.need)))
-        if n > MAX_EXTENDED_LETTERS:
-            raise TooLargeError(
-                f"extended prefix of {n} letters exceeds the limit of "
-                f"{MAX_EXTENDED_LETTERS}"
-            )
-        return self.prefix(n)
+        try:
+            return self.prefix(n)
+        except TooLargeError as exc:
+            raise TooLargeError(f"extended {exc}") from None
 
     def indicator(self, letter: str) -> list[int]:
         """0/1 sequence of the letter over the first `need` letters."""

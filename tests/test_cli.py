@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -142,6 +143,30 @@ def test_extended_prefix_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", n - 1)
     with pytest.raises(substitutions.TooLargeError):
         substitutions.Analysis(fib).extended_prefix
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--n", "1000000000"],
+    ["series", "--letter", "a", "--order", "100000000"],
+    ["series", "--letter", "b", "--kind", "pos", "--order", "100000000"],
+    ["geom", "--order", "100000000"],
+    ["geom", "--lengths", "2,1", "--order", "100000000", "--format", "csv"],
+])
+def test_prefix_over_the_limit_refused_before_it_is_built(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(DATA / "fib.sub"), *argv[1:])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 10000000" in err
+
+
+def test_prefix_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", 13)
+    code, out, _ = run(capsys, "expand", str(DATA / "fib.sub"), "--n", "13")
+    assert code == 0 and out == "abaababaabaab\n"
+    code, out, err = run(capsys, "expand", str(DATA / "fib.sub"), "--n", "14")
+    assert code == 2 and out == ""
+    assert "prefix of 14 letters exceeds the limit of 13" in err
 
 
 def test_large_period_bound_pinned(capsys):
@@ -464,6 +489,34 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "abaababa"
+
+
+def test_cli_never_imports_sympy(tmp_path):
+    # characteristic polynomials are factored in Python ints; sympy is only
+    # a test oracle.  x^5 - x^4 - 1 = (x^2 - x + 1)(x^3 - x - 1)
+    import subprocess
+    import sys
+
+    five, four = tmp_path / "five.sub", tmp_path / "four.sub"
+    five.write_text("a->ab\nb->c\nc->d\nd->e\ne->a\n")
+    four.write_text("a->ab\nb->c\nc->d\nd->a\n")
+    script = (
+        "import sys\n"
+        "from subgf import cli\n"
+        f"assert cli.main(['analyze', {str(five)!r}]) == 0\n"
+        f"assert cli.main(['geom', {str(four)!r}]) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, _ = json.JSONDecoder().raw_decode(proc.stdout)
+    assert report["pf"]["min_poly"] == ["-1", "-1", "0", "1"]
 
 
 class TestErrors:

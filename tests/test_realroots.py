@@ -448,6 +448,22 @@ def test_roots_level_four_makes_three_transforms_and_no_square_free_proof(
     assert calls == {"_descartes": 3, "_coprime_mod": 0, "_square_free": 0}
 
 
+def test_variations_agree_from_either_endpoint():
+    # the counts of roots on (-1, 0) now shift from 0; the transform from -1
+    # is its reversal, so the counts must agree
+    from subgf.fibonacci import pair_polynomials
+
+    intervals = [(F(-1), F(0)), (F(-1), F(-1, 2)), (F(-1, 2), F(0)),
+                 (F(-3, 4), F(-5, 8))]
+    for n in range(1, 5):
+        for poly in pair_polynomials(n).by_label().values():
+            cs = list(poly.coefficients)
+            for a, b in intervals:
+                count = realroots._variations_from(cs, a, b)
+                assert realroots._variations_from(cs, b, a) == count, (n, a, b)
+                assert realroots._descartes(cs, a, b) == count
+
+
 def test_zero_variations_prove_root_free():
     roots = RootIsolator(R1)  # 1 + x^2 + x^3 + x^5 + x^7, one real root
     assert roots.variations(F(0), F(1)) == 0
