@@ -10,7 +10,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import chain, count, islice, repeat
 
 from . import fibonacci as fib
 from . import geometric
@@ -23,10 +23,12 @@ from .genfun import (
     rational_form_from_witness,
     series_verdict_of,
 )
+from .quadratic import _decimal_str
 from .serialize import (
     aperiodicity_json,
     canonical_dumps,
     certificate_json,
+    exact_str,
     frac_str,
     poly_json,
     quadratic_json,
@@ -59,13 +61,20 @@ def _load(path: str):
         return parse_substitution(handle.read())
 
 
-def _write_csv(header: str, rows) -> None:
-    """Print the header and rows, CSV_CHUNK_ROWS rows per write: a write per
-    row is slow, and one write holds the whole output in memory."""
-    rows = iter(rows)
+def _write_csv(header: str, *columns) -> None:
+    """Print the header and one row per index, the index column first and
+    then one value of each column, each "%s"-formatted (for an int or a
+    Fraction that is `frac_str`).  Each chunk of CSV_CHUNK_ROWS rows is one
+    %-format and one write: a write per row is slow, and one write holds the
+    whole output in memory.  The rows are flattened as zip makes them, so
+    zip reuses one row tuple and no chunk of row objects reaches the
+    garbage collector."""
+    rows = zip(count(), *columns)
+    width = len(columns) + 1
+    row_fmt = "%d" + ",%s" * len(columns) + "\n"
     sys.stdout.write(header + "\n")
-    while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-        sys.stdout.write("\n".join(chunk) + "\n")
+    while values := tuple(chain.from_iterable(islice(rows, CSV_CHUNK_ROWS))):
+        sys.stdout.write((row_fmt * (len(values) // width)) % values)
 
 
 def _analyze(args) -> int:
@@ -167,9 +176,7 @@ def _series(args) -> int:
         }
         print(canonical_dumps(payload))
     else:
-        _write_csv("index,value", (
-            f"{i},{frac_str(c)}" for i, c in enumerate(ts.coefficients)
-        ))
+        _write_csv("index,value", ts.coefficients)
     return EXIT_OK
 
 
@@ -235,20 +242,23 @@ def _geom(args) -> int:
         exact = True
         radicand = None
     prefix = analysis.prefix(args.order)
-    points = geometric._endpoints(s, table, prefix)
+    c, d, ps, qs = geometric._endpoint_sums(s, table, prefix)
     if args.format == "csv":
-        _write_csv("index,exact,decimal50", (
-            f"{i},{value_str(t).replace(' ', '')},{value_decimal(t, 50)}"
-            for i, t in enumerate(points)
-        ))
+        _write_csv(
+            "index,exact,decimal50",
+            map(exact_str, ps, qs, repeat(c), repeat(d), repeat("")),
+            map(_decimal_str, ps, qs, repeat(c), repeat(d), repeat(50)),
+        )
         return EXIT_OK
     payload = {
         "lengths": {a: quadratic_json(v) for a, v in table.items()},
         "exact": exact,
         "radicand": radicand,
         "order": args.order,
-        "identity_ok": geometric.geometric_identity_ok(points, prefix, table),
-        "endpoints_preview": [value_str(t) for t in points[: min(8, len(points))]],
+        "identity_ok": geometric._sums_ok(table, prefix, ps, qs),
+        "endpoints_preview": [
+            exact_str(p, q, c, d) for p, q in zip(ps[:8], qs[:8])
+        ],
         "classification": None,
     }
     inconclusive = False

@@ -32,6 +32,7 @@ from .substitutions import (
     InconclusiveUpTo,
     Substitution,
     _gap_bound,
+    _zero_one,
 )
 
 
@@ -83,7 +84,7 @@ def _char_series(analysis: Analysis, letter: str, order: int) -> TruncatedSeries
     if order < 0:
         raise ValueError("order must be >= 0")
     prefix = analysis.prefix(order + 1)
-    return TruncatedSeries.from_coefficients(int(ch == letter) for ch in prefix)
+    return TruncatedSeries.from_coefficients(_zero_one(prefix, letter))
 
 
 def weighted_series(

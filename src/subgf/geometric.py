@@ -5,19 +5,22 @@ function, and the two-letter classification.
 Lengths are exact (rational, or in Q(sqrt(D)) when the minimal polynomial of
 the dominant eigenvalue is quadratic); for higher-degree eigenvalues the
 lengths fall back to certified rational approximations and every result is
-flagged as approximate.
+flagged as approximate.  Endpoints are integer prefix sums over the
+lengths' one common denominator; values are built from them only on request.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import lcm
+from operator import eq, sub
 from typing import Optional, Union
 
 from .errors import WrongAlphabetSizeError
 from .genfun import RationalForm, rational_form_from_witness
 from .polynomials import ExactPolynomial
-from .quadratic import QuadraticReal, _square_free_split
+from .quadratic import QuadraticReal, _int_form, _make, _square_free_split
 from .substitutions import (
     DEFAULT_BOUNDS,
     AperiodicByIrrationalPF,
@@ -159,9 +162,35 @@ def endpoint_sequence(
 
 
 def _endpoints(s: Substitution, lengths, prefix: str) -> list[TileLength]:
-    table = _checked_lengths(s, lengths)
-    zero = next(iter(table.values())) * 0
-    return list(accumulate((table[ch] for ch in prefix), initial=zero))
+    """The endpoints of `prefix` as values, from `_endpoint_sums`."""
+    c, d, ps, qs = _endpoint_sums(s, lengths, prefix)
+    if d is None:
+        return list(map(Fraction, ps, repeat(c)))
+    return list(map(_make, ps, qs, repeat(c), repeat(d)))
+
+
+def _endpoint_sums(s: Substitution, lengths, prefix: str):
+    """(c, d, ps, qs): endpoint m of `prefix` is (ps[m] + qs[m]*sqrt(d)) / c,
+    with c the lcm of the lengths' denominators and d None when every length
+    is rational.  ps and qs are integer prefix sums, accumulated in C."""
+    c, d, p_of, q_of = _scaled_lengths(_checked_lengths(s, lengths))
+    ps = list(accumulate(map(p_of.__getitem__, prefix), initial=0))
+    qs = list(accumulate(map(q_of.__getitem__, prefix), initial=0))
+    return c, d, ps, qs
+
+
+def _scaled_lengths(table: dict):
+    """(c, d, p_of, q_of): the length of letter a is
+    (p_of[a] + q_of[a]*sqrt(d)) / c over the one common denominator c."""
+    forms = {a: _int_form(x) for a, x in table.items()}
+    c = lcm(*(f[2] for f in forms.values()))
+    radicands = {f[3] for f in forms.values() if f[1]}
+    if len(radicands) > 1:
+        raise ValueError(f"mixed radicands {sorted(radicands)}")
+    d = radicands.pop() if radicands else None
+    p_of = {a: p * (c // ca) for a, (p, _, ca, _) in forms.items()}
+    q_of = {a: q * (c // ca) for a, (_, q, ca, _) in forms.items()}
+    return c, d, p_of, q_of
 
 
 def _checked_lengths(s: Substitution, lengths) -> dict[str, TileLength]:
@@ -173,6 +202,18 @@ def _checked_lengths(s: Substitution, lengths) -> dict[str, TileLength]:
         if table[letter] <= 0:
             raise ValueError(f"length of {letter!r} must be positive")
     return table
+
+
+def _sums_ok(table: dict, prefix: str, ps: list, qs: list) -> bool:
+    """(1 - X) * G = X * C_g on integer endpoint sums over `_scaled_lengths`:
+    they start at 0 and step by the scaled length of each letter."""
+    _, _, p_of, q_of = _scaled_lengths(table)
+    return (
+        len(ps) == len(qs) == len(prefix) + 1
+        and ps[0] == qs[0] == 0
+        and all(map(eq, map(sub, ps[1:], ps), map(p_of.__getitem__, prefix)))
+        and all(map(eq, map(sub, qs[1:], qs), map(q_of.__getitem__, prefix)))
+    )
 
 
 @dataclass(frozen=True)
@@ -198,9 +239,15 @@ def geometric_identity_ok(points: list, prefix: str, lengths) -> bool:
     truncation: the endpoints of `prefix` start at 0 and their successive
     differences are the tile lengths."""
     table = _length_map(lengths)
-    if len(points) != len(prefix) + 1 or points[0] != 0:
-        return False
-    return all(b - a == table[ch] for a, b, ch in zip(points, points[1:], prefix))
+    c, d, _, _ = _scaled_lengths(table)
+    ps, qs = [], []
+    for x in points:
+        p, q, cx, dx = _int_form(x)
+        if c % cx or (q and dx != d):
+            return False  # off the lattice of sums of the lengths
+        ps.append(p * (c // cx))
+        qs.append(q * (c // cx))
+    return _sums_ok(table, prefix, ps, qs)
 
 
 @dataclass(frozen=True)

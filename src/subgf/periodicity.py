@@ -53,7 +53,7 @@ def detect_period(coeffs, max_preperiod: int, max_period: int) -> PeriodWitness 
 
 def verify_witness(coeffs, witness: PeriodWitness) -> bool:
     """Check c[n + d] == c[n] for all preperiod <= n <= len - d - 1."""
-    seq = coeffs if isinstance(coeffs, (list, tuple, str)) else list(coeffs)
+    seq = coeffs if isinstance(coeffs, (list, tuple, str, bytes)) else list(coeffs)
     p, d = witness.preperiod, witness.period
     # the max keeps a period longer than the sequence from slicing from the end
     return seq[p : max(p, len(seq) - d)] == seq[p + d :]

@@ -194,18 +194,15 @@ class QuadraticReal:
 
     def decimal(self, digits: int = 50) -> str:
         """Fixed-point decimal string, correctly rounded toward zero."""
-        neg = self.sign() < 0
-        x = -self if neg else self
-        scaled = _floor_scaled(x, digits)
-        s = str(scaled).rjust(digits + 1, "0")
-        out = f"{s[:-digits]}.{s[-digits:]}" if digits else s
-        return "-" + out if neg else out
+        return _decimal_str(self._p, self._q, self._c, self.d, digits)
 
     def interval(self, digits: int = 50) -> tuple[Fraction, Fraction]:
         """Rational enclosure [lo, hi] with hi - lo <= 10**-digits."""
-        neg = self.sign() < 0
-        x = -self if neg else self
-        n = _floor_scaled(x, digits)
+        p, q = self._p, self._q
+        neg = _sign(p, q, self.d) < 0
+        if neg:
+            p, q = -p, -q
+        n = _floor_scaled(p, q, self._c, self.d, digits)
         lo, hi = Fraction(n, 10**digits), Fraction(n + 1, 10**digits)
         if neg:
             lo, hi = -hi, -lo
@@ -217,8 +214,18 @@ class QuadraticReal:
         return f"QuadraticReal({self.a} + {self.b}*sqrt({self.d}))"
 
 
-def _floor_scaled(x: QuadraticReal, digits: int) -> int:
-    """floor(x * 10**digits), exact, with one integer square root.
+def _int_form(x) -> tuple[int, int, int, "int | None"]:
+    """(p, q, c, d) with x = (p + q*sqrt(d)) / c, c > 0 and gcd(p, q, c) = 1;
+    d is None for a rational x.  x is a QuadraticReal, int or Fraction."""
+    if isinstance(x, QuadraticReal):
+        return x._p, x._q, x._c, x.d if x._q else None
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator, None
+
+
+def _floor_scaled(p: int, q: int, c: int, d, digits: int) -> int:
+    """floor((p + q*sqrt(d)) / c * 10**digits), exact, with one integer
+    square root; d is unused when q = 0.
 
     With s = 10**digits, x*s = (p*s + r) / c where r = q*s*sqrt(d), whose
     square is n = q*q*d*s*s.  For q != 0, n is not a perfect square (d is
@@ -227,9 +234,22 @@ def _floor_scaled(x: QuadraticReal, digits: int) -> int:
     floor((p*s + r)/c) = floor((p*s + f)/c) =: k, because c > 0 and
     k*c <= p*s + f < p*s + r < p*s + f + 1 <= (k + 1)*c, the last step
     since p*s + f and (k + 1)*c are integers with p*s + f < (k + 1)*c.
+    Only c > 0 is used, so the proof holds for any such c, whether or not
+    gcd(p, q, c) = 1.
     """
     s = 10**digits
-    p, q, c = x._p, x._q, x._c
-    root = isqrt(q * q * x.d * s * s) if q else 0
+    root = isqrt(q * q * d * s * s) if q else 0
     f = root if q >= 0 else -root - 1
     return (p * s + f) // c
+
+
+def _decimal_str(p: int, q: int, c: int, d, digits: int) -> str:
+    """Fixed-point decimal string of (p + q*sqrt(d)) / c for c > 0, rounded
+    toward zero; "-" marks every negative value, even one that prints as
+    zero.  d is unused when q = 0."""
+    neg = _sign(p, q, d) < 0
+    if neg:
+        p, q = -p, -q
+    s = str(_floor_scaled(p, q, c, d, digits)).rjust(digits + 1, "0")
+    out = f"{s[:-digits]}.{s[-digits:]}" if digits else s
+    return "-" + out if neg else out

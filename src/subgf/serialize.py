@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .genfun import RationalForm, Rational, TranscendentalByAperiodicity
 from .periodicity import PeriodWitness
 from .polynomials import ExactPolynomial
-from .quadratic import QuadraticReal
+from .quadratic import QuadraticReal, _decimal_str, _int_form
 from .realroots import ExclusionCertificate
 from .substitutions import (
     AperiodicByIrrationalPF,
@@ -25,33 +26,32 @@ def frac_str(x) -> str:
     return str(x) if type(x) is int else str(Fraction(x))
 
 
-def frac_decimal(x: Fraction, digits: int = 50) -> str:
-    """Fixed-point decimal, truncated toward zero."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = (x.numerator * 10**digits) // x.denominator
-    s = str(scaled).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else sign + str(scaled)
+def _ratio_str(n: int, c: int) -> str:
+    """str(Fraction(n, c)) for c > 0, reduced by one gcd."""
+    g = gcd(n, c)
+    return str(n // g) if g == c else f"{n // g}/{c // g}"
+
+
+def exact_str(p: int, q: int, c: int, d, sep: str = " ") -> str:
+    """Exact form of (p + q*sqrt(d)) / c for c > 0: "a", "b*sqrt(d)" or
+    "a + b*sqrt(d)", with `sep` around the sign and each part reduced."""
+    if q == 0:
+        return _ratio_str(p, c)
+    if p == 0:
+        return f"{_ratio_str(q, c)}*sqrt({d})"
+    op = "+" if q > 0 else "-"
+    return f"{_ratio_str(p, c)}{sep}{op}{sep}{_ratio_str(abs(q), c)}*sqrt({d})"
 
 
 def value_str(x) -> str:
     """Exact human-readable form of a rational or quadratic value."""
-    if isinstance(x, QuadraticReal):
-        a, b = x.a, x.b
-        if b == 0:
-            return str(a)
-        if a == 0:
-            return f"{b}*sqrt({x.d})"
-        op = "+" if b > 0 else "-"
-        return f"{a} {op} {abs(b)}*sqrt({x.d})"
-    return frac_str(x)
+    return exact_str(*_int_form(x))
 
 
 def value_decimal(x, digits: int = 50) -> str:
-    if isinstance(x, QuadraticReal):
-        return x.decimal(digits)
-    return frac_decimal(Fraction(x), digits)
+    """Fixed-point decimal of a rational or quadratic value, truncated
+    toward zero."""
+    return _decimal_str(*_int_form(x), digits)
 
 
 def quadratic_json(x) -> dict:

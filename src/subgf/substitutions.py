@@ -465,6 +465,14 @@ def aperiodicity_verdict(
     return Analysis(s, None, (prefix_bound, period_bound)).verdict
 
 
+def _zero_one(word: str, letter: str) -> bytes:
+    """The letter's 0/1 indicator over the word, one byte (0 or 1) per
+    letter, by one `bytes.translate`: words are ASCII, since letters are."""
+    table = bytearray(256)
+    table[ord(letter)] = 1
+    return word.encode("ascii").translate(table)
+
+
 class Analysis:
     """The facts derived from a substitution, a seed (by default
     `fixed_point_seed`) and bounds (max preperiod, max period), each on first
@@ -531,7 +539,7 @@ class Analysis:
 
     def indicator(self, letter: str) -> list[int]:
         """0/1 sequence of the letter over the first `need` letters."""
-        return [int(ch == letter) for ch in self.prefix(self.need)]
+        return list(_zero_one(self.prefix(self.need), letter))
 
     def raw_witness(self, letter: str) -> Optional[PeriodWitness]:
         """`detect_period` on the letter's `indicator`."""
@@ -544,8 +552,7 @@ class Analysis:
         """Each letter's raw witness if it also explains the extended prefix."""
         out = {a: self.raw_witness(a) for a in self.substitution.alphabet}
         for a, w in out.items():
-            ones = {ord(b): "01"[b == a] for b in out}  # a's 0/1 indicator
-            if w and not verify_witness(self.extended_prefix.translate(ones), w):
+            if w and not verify_witness(_zero_one(self.extended_prefix, a), w):
                 out[a] = None
         return out
 

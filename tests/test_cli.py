@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from subgf import periodicity, substitutions
+from subgf import periodicity, quadratic, substitutions
 from subgf.cli import main
+from subgf.quadratic import QuadraticReal
 from subgf.serialize import canonical_dumps
 
 DATA = Path(__file__).parent / "data"
@@ -540,3 +541,52 @@ class TestErrors:
         rules.write_text("a->ab\nb->b\n")
         code, _, _ = run(capsys, "series", str(rules), "--letter", "a")
         assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_geom_builds_no_value_per_endpoint(capsys, monkeypatch, fmt):
+    """`geom` formats its endpoints from integer sums: the quadratic values
+    it builds (`_make`) and formats (`QuadraticReal.decimal`) do not grow
+    with the order."""
+    counts = {"_make": 0, "decimal": 0}
+    original_make, original_decimal = quadratic._make, QuadraticReal.decimal
+
+    def make(*args):
+        counts["_make"] += 1
+        return original_make(*args)
+
+    def decimal(self, *args):
+        counts["decimal"] += 1
+        return original_decimal(self, *args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "subgf":
+            for key, value in list(vars(mod).items()):
+                if value is original_make:
+                    monkeypatch.setattr(mod, key, make)
+    monkeypatch.setattr(QuadraticReal, "decimal", decimal)
+    seen = []
+    for order in ("200", "20000"):
+        counts.update(_make=0, decimal=0)
+        code, _, _ = run(capsys, "geom", str(DATA / "fib.sub"),
+                         "--order", order, "--format", fmt)
+        assert code == 0
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+
+
+# stdout sha256 of `geom` on a cubic PF eigenvalue, whose natural lengths are
+# approximate Fractions with large denominators
+APPROXIMATE_GEOM_SHA256 = {
+    "csv": "bde2696f4c10879655da9ca3b239108987abf387d4bee17b5dee1aac0181d63a",
+    "json": "a3b288572b19dc6a30cf6ba3c16f866b36b7455aebdaadbc136890556eca7ebc",
+}
+
+
+@pytest.mark.parametrize("fmt", list(APPROXIMATE_GEOM_SHA256))
+def test_approximate_lengths_output_is_pinned(capsys, tmp_path, fmt):
+    rules = tmp_path / "cubic.sub"
+    rules.write_text("a -> abc\nb -> ab\nc -> a\n")
+    code, out, _ = run(capsys, "geom", str(rules), "--order", "2000", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == APPROXIMATE_GEOM_SHA256[fmt]

@@ -1,9 +1,19 @@
+import io
+from contextlib import redirect_stdout
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from itertools import repeat
+from math import lcm
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from subgf import cli
 from subgf.errors import WrongAlphabetSizeError
 from subgf.geometric import (
+    _endpoint_sums,
+    _endpoints,
     classify_two_letter,
     endpoint_sequence,
     geometric_identity_ok,
@@ -14,7 +24,8 @@ from subgf.geometric import (
 )
 from subgf.genfun import summatory_transform, char_series
 from subgf.polynomials import ExactPolynomial as P
-from subgf.quadratic import QuadraticReal as Q
+from subgf.quadratic import QuadraticReal as Q, _decimal_str, _int_form
+from subgf.serialize import exact_str, value_decimal, value_str
 from subgf.substitutions import (
     fixed_point_seed,
     fixed_word_prefix,
@@ -190,3 +201,100 @@ class TestClassification:
             s = corpus[name]
             with pytest.raises(ValueError):
                 classify_two_letter(s, fixed_point_seed(s), lengths)
+
+
+# -- the integer endpoint kernel against a value-by-value reference ----------
+
+def _reference_str(x) -> str:
+    """The exact form from x's Fraction parts a and b."""
+    a, b = (x.a, x.b) if isinstance(x, Q) else (F(x), F(0))
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt({x.d})"
+    return f"{a} {'+' if b > 0 else '-'} {abs(b)}*sqrt({x.d})"
+
+
+def _reference_decimal(x, digits=50) -> str:
+    """Truncation toward zero via 300-digit Decimal arithmetic for an
+    irrational x (far from a decimal boundary at these sizes), exactly
+    via Fraction for a rational one."""
+    a, b = (x.a, x.b) if isinstance(x, Q) else (F(x), F(0))
+    if b == 0:
+        v = abs(a)
+        n = v.numerator * 10**digits // v.denominator
+        neg = a < 0
+    else:
+        with localcontext() as ctx:
+            ctx.prec = 300
+            val = (Decimal(a.numerator) / a.denominator
+                   + Decimal(b.numerator) / b.denominator * Decimal(x.d).sqrt())
+            n = int(abs(val).scaleb(digits))
+            neg = val < 0
+    s = str(n).rjust(digits + 1, "0")
+    return ("-" if neg else "") + f"{s[:-digits]}.{s[-digits:]}"
+
+
+_RULES_BY_SIZE = {2: "a->ab\nb->a", 3: "a->abc\nb->ab\nc->a"}
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _tilings(draw):
+    """(substitution, lengths, prefix): 2-3 letters with positive lengths in
+    Q or Q(sqrt(D)), including p = 0, p < 0 and q < 0, and a random prefix."""
+    k = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([2, 3, 5, 13]))
+    s = parse_substitution(_RULES_BY_SIZE[k])
+    special = [Q(0, F(2, 3), d), Q(-1, 1, d), Q(3, -1, d), Q(F(9, 2), -1, d)]
+    value = st.one_of(
+        st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
+        st.builds(lambda a, b: Q(a, b, d), _small, _small),
+        st.sampled_from(special),
+    ).filter(lambda x: x > 0)
+    lengths = {a: draw(value) for a in s.alphabet}
+    prefix = draw(st.text(alphabet="".join(s.alphabet.letters), max_size=40))
+    return s, lengths, prefix
+
+
+@given(_tilings(), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_endpoint_sums_match_value_arithmetic(tiling, chunk_rows):
+    s, lengths, prefix = tiling
+    irrational = [x for x in lengths.values() if isinstance(x, Q) and x.b]
+    ref = [Q(0, 0, irrational[0].d) if irrational else F(0)]
+    for ch in prefix:
+        ref.append(ref[-1] + lengths[ch])
+
+    assert _endpoints(s, lengths, prefix) == ref
+    c, d, ps, qs = _endpoint_sums(s, lengths, prefix)
+    assert c == lcm(*(_int_form(x)[2] for x in lengths.values()))
+    exact = [exact_str(p, q, c, d) for p, q in zip(ps, qs)]
+    assert exact == [_reference_str(x) for x in ref]
+    assert exact == [value_str(x) for x in ref]
+    decimals = [_decimal_str(p, q, c, d, 50) for p, q in zip(ps, qs)]
+    assert decimals == [_reference_decimal(x) for x in ref]
+    assert decimals == [value_decimal(x, 50) for x in ref]
+
+    assert geometric_identity_ok(ref, prefix, lengths)
+    if prefix:
+        bumped = ref[:-1] + [ref[-1] + F(1, 7)]
+        assert not geometric_identity_ok(bumped, prefix, lengths)
+
+    # the CSV writer: one %-format per chunk of chunk_rows rows
+    out = io.StringIO()
+    with patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows), redirect_stdout(out):
+        cli._write_csv(
+            "index,exact,decimal50",
+            map(exact_str, ps, qs, repeat(c), repeat(d), repeat("")),
+            map(_decimal_str, ps, qs, repeat(c), repeat(d), repeat(50)),
+        )
+    assert out.getvalue() == "index,exact,decimal50\n" + "".join(
+        f"{i},{_reference_str(x).replace(' ', '')},{_reference_decimal(x)}\n"
+        for i, x in enumerate(ref)
+    )
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_exact_str_of_a_ratio_is_the_fraction_str(n, c):
+    assert exact_str(n, 0, c, None) == str(F(n, c))
