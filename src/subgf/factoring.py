@@ -1,8 +1,15 @@
-"""Exact factoring of monic integer polynomials over the rationals.
+"""The factor structure of integer polynomials: the square-free part, and
+the irreducible factors over the rationals of a monic polynomial.
 
-Zassenhaus's algorithm on Python ints (von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 14-16).  The square-free part f of degree n is
-factored modulo the smallest prime p >= 3 that keeps it square-free:
+Square-free part: a constant gcd of p and p' modulo a prime that does not
+divide deg(p) * lc(p) proves p square-free (`_square_free`).  Only the rare
+polynomial whose square-freeness that modular proof misses needs its exact
+square-free part, p / gcd(p, p'), with the gcd from a primitive remainder
+sequence in integers.
+
+Factoring: Zassenhaus's algorithm on Python ints (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 14-16).  The square-free part f of degree n
+is factored modulo the smallest prime p >= 3 that keeps it square-free:
 distinct-degree factoring, then Cantor-Zassenhaus equal-degree splitting
 with trial polynomials enumerated from a counter, so the result never
 depends on random state.  When f is irreducible mod p it is irreducible
@@ -24,7 +31,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import isqrt
 
-from .realroots import _coprime_mod, _exact_div_int, _square_free, _strip
+from .polynomials import _convolve, _exact_div_int, _primitive, _strip
+
+_PRIME = 2**31 - 1  # modulus of the square-freeness proof
 
 
 def irreducible_factors(cs: list[int]) -> list[list[int]]:
@@ -52,6 +61,62 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(3, isqrt(p) + 1, 2))
 
 
+# -- the square-free part -----------------------------------------------------
+
+
+def _square_free(cs: list) -> list:
+    """Square-free part of a primitive integer polynomial, with the same
+    roots.  A constant gcd of p and p' modulo a prime not dividing
+    d * lc(p) proves p square-free, because a common factor over the
+    integers would survive the reduction with its degree; only when that
+    proof fails is the exact square-free part p / gcd(p, p') computed, with
+    a positive leading coefficient.  The gcd is primitive, so by Gauss's
+    lemma the quotient is an exact, primitive integer division."""
+    d = len(cs) - 1
+    if d < 2:
+        return cs
+    derivative = [i * c for i, c in enumerate(cs)][1:]
+    if d * cs[-1] % _PRIME and _coprime_mod(cs, derivative, _PRIME):
+        return cs
+    part = _exact_div_int(cs, _primitive_gcd(cs, _primitive(derivative)))
+    return part if part[-1] > 0 else [-c for c in part]
+
+
+def _primitive_gcd(f: list, g: list) -> list:
+    """Primitive gcd, up to sign, of a primitive f and a nonzero primitive g
+    of lower degree, by the primitive remainder sequence (Collins 1967):
+    each remainder is divided by its content, so coefficients stay small."""
+    while g:
+        f, g = g, _neg_prem_primitive(f, g)
+    return f
+
+
+def _neg_prem_primitive(f: list, g: list) -> list:
+    """Primitive integer polynomial equal to a positive rational multiple of
+    -rem(f, g).  Empty list when g divides f."""
+    dg = len(g) - 1
+    lg = g[-1]
+    r = list(f)
+    scalings = 0
+    for k in range(len(f) - 1 - dg, -1, -1):
+        top = r[dg + k]
+        if not top:
+            continue
+        for i in range(len(r)):
+            r[i] *= lg
+        scalings += 1
+        for i in range(dg + 1):
+            r[k + i] -= top * g[i]
+    del r[dg:]
+    _strip(r)
+    if not r:
+        return []
+    flipped = lg < 0 and scalings % 2 == 1
+    if not flipped:
+        r = [-c for c in r]
+    return _primitive(r)
+
+
 # -- arithmetic mod m on coefficient lists, constant term first --------------
 
 
@@ -68,14 +133,7 @@ def _sub(a: list, b: list, m: int) -> list:
 
 
 def _mul(a: list, b: list, m: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _strip([c % m for c in out])
+    return _strip([c % m for c in _convolve(a, b)])
 
 
 def _product(polys: list[list], m: int) -> list:
@@ -93,8 +151,7 @@ def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
     for k in range(len(q) - 1, -1, -1):
         top = q[k] = r[k + db]
         if top:
-            for i in range(db):
-                r[k + i] = (r[k + i] - top * b[i]) % m
+            r[k:] = [(x - top * y) % m for x, y in zip(r[k:], b)]
     del r[db:]
     return q, _strip(r)
 
@@ -111,6 +168,12 @@ def _gcd(a: list, b: list, p: int) -> list:
         b = _monic(b, p)
         a, b = b, _divmod(a, b, p)[1]
     return a
+
+
+def _coprime_mod(f: list, g: list, q: int) -> bool:
+    """Whether f and g reduced mod the prime q have a constant gcd, for a
+    prime q that does not divide lc(f)."""
+    return len(_gcd(_monic(f, q), g, q)) == 1
 
 
 def _pow_mod(a: list, e: int, f: list, p: int) -> list:

@@ -35,12 +35,13 @@ FIBONACCI_SEED = FixedPointSeed(1, "a")
 MAX_SUPERTILE_LEVEL = 40
 # pair polynomials grow like (2+sqrt(5))**n: degrees ~3e3 at level 5 and
 # ~1.1e4 at 6.  On a 2-vCPU VM with pure-Python integers, `roots --level 5`
-# took 6.5 s and `roots --level 6` 572 s at 92 MB, so level 6 is refused
+# takes about 1.7 s and level 6 about 100 s at 60 MB, so level 6 is refused
 MAX_PAIR_LEVEL = 5
-# a finer tolerance costs more bisection steps on longer rationals: level 4
-# took 0.48 s at 1e-30, 1.2 s at 1e-60 and 5.1 s at 1e-100, and level 5
-# 9.7 s at 1e-30 (same VM).  A tolerance of 1 or more stops at the bracket
-# (-1, 0], alpha_hat = 0, and would certify the empty (0, 0)
+# a finer tolerance costs more bisection steps on longer rationals: at
+# 1e-30 `roots --level 4` takes 0.3 s and level 5 3.9 s, and below this
+# floor level 4 would take 1.0 s at 1e-60 and 3.7 s at 1e-100 (same VM).
+# A tolerance of 1 or more stops at the bracket (-1, 0], alpha_hat = 0, and
+# would certify the empty (0, 0)
 MIN_TOLERANCE = Fraction(1, 10**30)
 
 

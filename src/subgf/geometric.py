@@ -32,6 +32,8 @@ from .substitutions import (
 )
 
 TileLength = Union[Fraction, QuadraticReal]
+# endpoints that `classify_two_letter_of` checks against a closed form
+CHECK_ORDER = 1000
 
 
 def pf_as_quadratic(data: PFData) -> Optional[QuadraticReal]:
@@ -299,17 +301,14 @@ def classify_two_letter(
     seed: FixedPointSeed,
     lengths,
     bounds: tuple[int, int] = DEFAULT_BOUNDS,
-    check_order: int = 1000,
 ) -> TwoLetterClassification:
     """`classify_two_letter_of` on a fresh `Analysis(s, seed, bounds)`."""
-    return classify_two_letter_of(Analysis(s, seed, bounds), lengths, check_order)
+    return classify_two_letter_of(Analysis(s, seed, bounds), lengths)
 
 
-def classify_two_letter_of(
-    analysis: Analysis, lengths, check_order: int = 1000
-) -> TwoLetterClassification:
+def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassification:
     """Classify with positive tile lengths; only the equal-lengths and
-    periodic-rational cases build endpoints, to check check_order of them."""
+    periodic-rational cases build endpoints, to check CHECK_ORDER of them."""
     s = analysis.substitution
     if len(s.alphabet) != 2:
         raise WrongAlphabetSizeError("classification requires exactly two letters")
@@ -317,8 +316,8 @@ def classify_two_letter_of(
     first, second = s.alphabet.letters
     g1, g2 = table[first], table[second]
     if g1 == g2:
-        points = _endpoints(s, table, analysis.prefix(check_order))
-        ok = all(points[n] == g1 * n for n in range(check_order + 1))
+        points = _endpoints(s, table, analysis.prefix(CHECK_ORDER))
+        ok = all(points[n] == g1 * n for n in range(CHECK_ORDER + 1))
         return TwoLetterClassification(
             "equal-lengths", shared_length=g1, verified=ok
         )
@@ -329,12 +328,12 @@ def classify_two_letter_of(
             return TwoLetterClassification("inconclusive", verified=False)
         form = rational_form_from_witness(analysis.indicator(first), witness)
         # G = difference * X * P / ((1-X)(1-X^d)) + second * X / (1-X)^2
-        expanded = RationalForm(form.numerator, form.period, 1).expand(check_order)
-        points = _endpoints(s, table, analysis.prefix(check_order))
+        expanded = RationalForm(form.numerator, form.period, 1).expand(CHECK_ORDER)
+        points = _endpoints(s, table, analysis.prefix(CHECK_ORDER))
         ok = all(
             points[n]
             == (expanded.coefficients[n - 1] if n else 0) * (g1 - g2) + g2 * n
-            for n in range(check_order + 1)
+            for n in range(CHECK_ORDER + 1)
         )
         return TwoLetterClassification(
             "periodic-rational",

@@ -1,14 +1,20 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials with exact rational coefficients, and the
+kernel of integer coefficient lists that `factoring` and `realroots` share.
 
-Coefficients are stored constant-term first, each as an `int` when it is
-integral and as a `Fraction` only otherwise, so integer polynomials run on
-integer arithmetic.  The zero polynomial has degree -1; every nonzero
-polynomial has a nonzero trailing coefficient.
+`ExactPolynomial` stores its coefficients constant-term first, each as an
+`int` when it is integral and as a `Fraction` only otherwise, so integer
+polynomials run on integer arithmetic.  The zero polynomial has degree -1;
+every nonzero polynomial has a nonzero trailing coefficient.
+
+The kernel works on plain lists in the same order: trailing zeros stripped
+(`_strip`), content divided out (`_primitive`), exact division
+(`_exact_div_int`), the schoolbook product (`_convolve`), and the exact sign
+at a rational point (`_sign_at`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -17,6 +23,53 @@ def _frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _strip(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _primitive(cs: list) -> list:
+    g = gcd(*cs)
+    if g > 1:
+        cs = [c // g for c in cs]
+    return cs
+
+
+def _exact_div_int(f: list, g: list) -> list:
+    """Quotient of f by g over the integers; ArithmeticError unless g divides
+    f with an integer quotient."""
+    out = [0] * (len(f) - len(g) + 1)
+    rem = list(f)
+    lg = g[-1]
+    for k in range(len(out) - 1, -1, -1):
+        top = rem[len(g) - 1 + k]
+        if top % lg:
+            raise ArithmeticError("inexact polynomial division")
+        c = top // lg
+        out[k] = c
+        if c:
+            for i in range(len(g)):
+                rem[k + i] -= c * g[i]
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+def _convolve(a: list, b: list) -> list:
+    """The product of two coefficient lists, by the schoolbook method; zero
+    coefficients are skipped."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 def _sign_at(cs: list, num: int, shift_exp, den_pows) -> int:
@@ -65,10 +118,7 @@ class ExactPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coefficient(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        self._coeffs = tuple(_strip([_coefficient(c) for c in coeffs]))
 
     @classmethod
     def zero(cls) -> ExactPolynomial:
@@ -157,16 +207,7 @@ class ExactPolynomial:
             return ExactPolynomial([c * x for x in self._coeffs])
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return ExactPolynomial.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return ExactPolynomial(out)
+        return ExactPolynomial(_convolve(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 

@@ -1,4 +1,4 @@
-"""Exact real-root counting, isolation, and positivity certificates.
+"""Descartes counts, real-root isolation, and positivity certificates.
 
 Descartes' rule of signs: the number of sign variations in the coefficient
 sequence of a polynomial exceeds its number of positive roots, counted with
@@ -9,10 +9,11 @@ roots of p in (l, r) with the same parity.  V = 0 is therefore a proof that
 (l, r) holds no root, and V = 1 that it holds exactly one (Collins & Akritas
 1976).  For a square-free p, halving an interval eventually leaves only
 counts of 0 and 1 (Vincent's theorem), so bisection turns the bound into an
-exact count.  Each count costs two Taylor shifts in exact integers.
-Because roots count with multiplicity, V = 0 and V = 1 are proofs for any
-p; only the splits need a square-free p, so `RootIsolator` computes the
-square-free part when a V >= 2 split first needs it.
+exact count.  Each count costs at most two Taylor shifts in exact integers,
+and one when it shifts from 0 (see `_descartes`).  Because roots count with
+multiplicity, V = 0 and V = 1 are proofs for any p; only the splits need a
+square-free p, so `RootIsolator` takes the square-free part
+(`factoring._square_free`) when a V >= 2 split first needs it.
 
 A certificate that p > 0 on (l, r) rests on two facts: p has no root in
 (l, r), and p is positive at one exact sample there.  `certify_positive`
@@ -21,11 +22,8 @@ prove it as well: `isolate_max_root` on (lower, r] returns a bracket
 (u, v] with no root in (v, r], so v <= l leaves none in (l, r), and a count
 of 0 on (lower, r] leaves none at all (`fibonacci.positivity_bound`).
 
-Only the rare polynomial whose square-freeness the modular proof misses
-needs its exact square-free part, p / gcd(p, p'), with the gcd from a
-primitive remainder sequence in integers.  Sturm chains, an independent
-reference for the Descartes counts, live with the tests
-(`tests/sturm_reference.py`).
+Sturm chains, an independent reference for the Descartes counts, live with
+the tests (`tests/sturm_reference.py`).
 """
 from __future__ import annotations
 
@@ -33,7 +31,6 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
 from operator import add
 
 from .errors import (
@@ -43,128 +40,18 @@ from .errors import (
     RootPresentError,
     ZeroPolynomialError,
 )
-from .polynomials import ExactPolynomial, _frac, _point_data, _sign_at
-
-_PRIME = 2**31 - 1  # modulus of the square-freeness proof
-
-
-def _strip(cs: list) -> list:
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _primitive(cs: list) -> list:
-    g = gcd(*cs)
-    if g > 1:
-        cs = [c // g for c in cs]
-    return cs
-
-
-def _neg_prem_primitive(f: list, g: list) -> list:
-    """Primitive integer polynomial equal to a positive rational multiple of
-    -rem(f, g).  Empty list when g divides f."""
-    dg = len(g) - 1
-    lg = g[-1]
-    r = list(f)
-    scalings = 0
-    for k in range(len(f) - 1 - dg, -1, -1):
-        top = r[dg + k]
-        if not top:
-            continue
-        for i in range(len(r)):
-            r[i] *= lg
-        scalings += 1
-        for i in range(dg + 1):
-            r[k + i] -= top * g[i]
-    del r[dg:]
-    _strip(r)
-    if not r:
-        return []
-    flipped = lg < 0 and scalings % 2 == 1
-    if not flipped:
-        r = [-c for c in r]
-    return _primitive(r)
-
-
-def _exact_div_int(f: list, g: list) -> list:
-    out = [0] * (len(f) - len(g) + 1)
-    rem = list(f)
-    lg = g[-1]
-    for k in range(len(out) - 1, -1, -1):
-        top = rem[len(g) - 1 + k]
-        if top % lg:
-            raise ArithmeticError("inexact polynomial division")
-        c = top // lg
-        out[k] = c
-        if c:
-            for i in range(len(g)):
-                rem[k + i] -= c * g[i]
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _deflate_root(p: list, num: int, den: int) -> list:
-    """Divide p exactly by (den*X - num)."""
-    d = len(p) - 1
-    q = [0] * d
-    carry = p[d]
-    for i in range(d - 1, -1, -1):
-        if carry % den:
-            raise ArithmeticError("inexact deflation")
-        q[i] = carry // den
-        carry = p[i] + q[i] * num
-    if carry:
-        raise ArithmeticError("inexact deflation")
-    return q
+from .factoring import _square_free
+from .polynomials import (
+    ExactPolynomial,
+    _exact_div_int,
+    _frac,
+    _point_data,
+    _primitive,
+    _sign_at,
+)
 
 
 # -- Descartes' rule of signs ------------------------------------------------
-
-
-def _coprime_mod(f: list, g: list, q: int) -> bool:
-    """Whether f and g reduced mod the prime q have a constant gcd."""
-    f = _strip([c % q for c in f])
-    g = _strip([c % q for c in g])
-    while len(g) > 1:
-        inv = pow(g[-1], -1, q)
-        g = [c * inv % q for c in g]
-        dg = len(g) - 1
-        while len(f) > dg:
-            top, k = f[-1], len(f) - 1 - dg
-            if top:
-                f[k:-1] = [(a - top * b) % q for a, b in zip(f[k:-1], g)]
-            f.pop()
-        f, g = g, _strip(f)
-    return bool(g)
-
-
-def _square_free(cs: list) -> list:
-    """Square-free part of a primitive integer polynomial, with the same
-    roots.  A constant gcd of p and p' modulo a prime not dividing
-    d * lc(p) proves p square-free, because a common factor over the
-    integers would survive the reduction with its degree; only when that
-    proof fails is the exact square-free part p / gcd(p, p') computed, with
-    a positive leading coefficient.  The gcd is primitive, so by Gauss's
-    lemma the quotient is an exact, primitive integer division."""
-    d = len(cs) - 1
-    if d < 2:
-        return cs
-    derivative = [i * c for i, c in enumerate(cs)][1:]
-    if d * cs[-1] % _PRIME and _coprime_mod(cs, derivative, _PRIME):
-        return cs
-    part = _exact_div_int(cs, _primitive_gcd(cs, _primitive(derivative)))
-    return part if part[-1] > 0 else [-c for c in part]
-
-
-def _primitive_gcd(f: list, g: list) -> list:
-    """Primitive gcd, up to sign, of a primitive f and a nonzero primitive g
-    of lower degree, by the primitive remainder sequence (Collins 1967):
-    each remainder is divided by its content, so coefficients stay small."""
-    while g:
-        f, g = g, _neg_prem_primitive(f, g)
-    return f
 
 
 def _scaled(cs: list, num, den) -> list:
@@ -279,7 +166,7 @@ class RootIsolator:
         point = _frac(point)
         if self.sign_at(point):
             return self
-        part = _deflate_root(self._cs, point.numerator, point.denominator)
+        part = _exact_div_int(self._cs, [-point.numerator, point.denominator])
         deflated = RootIsolator(self.polynomial, part, self._is_square_free)
         return deflated.without_root(point)
 

@@ -8,11 +8,14 @@ theorem).  It shares only the integer helpers with the Descartes code.
 from __future__ import annotations
 
 from subgf.errors import EndpointIsRootError, ZeroPolynomialError
-from subgf.polynomials import ExactPolynomial, _frac, _point_data, _sign_at
-from subgf.realroots import (
+from subgf.factoring import _neg_prem_primitive
+from subgf.polynomials import (
+    ExactPolynomial,
     _exact_div_int,
-    _neg_prem_primitive,
+    _frac,
+    _point_data,
     _primitive,
+    _sign_at,
     _strip,
 )
 

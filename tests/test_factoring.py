@@ -1,11 +1,11 @@
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import Poly as SympyPoly, symbols
 
 from subgf import factoring
 from subgf.factoring import irreducible_factors
-from subgf.polynomials import ExactPolynomial as P
+from subgf.polynomials import ExactPolynomial as P, _convolve
 from subgf.substitutions import (
     SubstitutionMatrix,
     characteristic_polynomial,
@@ -124,3 +124,78 @@ def test_pf_data_on_a_huge_determinant_is_fast():
     assert time.perf_counter() - start < 1
     assert data.min_poly_of_pf == data.char_poly
     assert not data.is_rational
+
+
+def _sparse_product(a, b):
+    """The product as a dict from exponent to nonzero coefficient."""
+    out = {}
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+coefficients = st.lists(
+    st.one_of(
+        st.integers(-(10**20), 10**20),
+        st.just(0),
+        st.fractions(max_denominator=50).filter(lambda x: x.denominator > 1),
+    ),
+    max_size=8,
+)
+
+
+@given(coefficients, coefficients)
+@settings(max_examples=300, deadline=None)
+def test_convolve_matches_a_sparse_product(a, b):
+    out = _convolve(a, b)
+    assert len(out) == (len(a) + len(b) - 1 if a and b else 0)
+    assert {k: c for k, c in enumerate(out) if c} == _sparse_product(a, b)
+
+
+moduli = st.sampled_from([3, 5, 3**8, 2**31 - 1])
+
+
+@given(
+    st.lists(st.integers(-(10**12), 10**12), max_size=14),
+    st.lists(st.integers(-(10**6), 10**6), max_size=6),
+    moduli,
+)
+@settings(max_examples=300, deadline=None)
+def test_divmod_by_a_monic_divisor_mod_m(a, low, m):
+    b = low + [1]
+    q, r = factoring._divmod(a, b, m)
+    assert len(r) < len(b) and (not r or r[-1])
+    assert all(0 <= c < m for c in q + r)
+    # a = q*b + r, coefficientwise mod m
+    qb = _sparse_product(q, b)
+    for k in range(max(len(a), len(q) + len(b) - 1)):
+        rhs = qb.get(k, 0) + (r[k] if k < len(r) else 0)
+        assert ((a[k] if k < len(a) else 0) - rhs) % m == 0, k
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+                  st.integers(-3, 3).filter(bool), st.integers(1, 2)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+    st.sampled_from([3, 5, 7, 2**31 - 1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_coprime_mod_matches_sympy(factors, distinct, p):
+    # products of random factors, each taken once or with multiplicity up
+    # to 2, so both answers occur for small and large p
+    f = _product([low + [lead] for low, lead, mult in factors
+                  for _ in range(1 if distinct else mult)])
+    assume(len(f) > 1 and f[-1] % p)
+    derivative = [i * c for i, c in enumerate(f)][1:]
+    expected = (
+        SympyPoly(f[::-1], _X, modulus=p)
+        .gcd(SympyPoly(derivative[::-1], _X, modulus=p))
+        .degree()
+        == 0
+    )
+    assert factoring._coprime_mod(f, derivative, p) == expected

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from sympy import Poly as SympyPoly, Rational as SympyRational, symbols
 
-from subgf import realroots
+from subgf import factoring, polynomials, realroots
 from subgf.cli import main
 from subgf.errors import (
     EndpointIsRootError,
@@ -436,13 +436,14 @@ def test_roots_level_four_makes_three_transforms_and_no_square_free_proof(
 ):
     calls = {"_descartes": 0, "_coprime_mod": 0, "_square_free": 0}
     for name in calls:
-        original = getattr(realroots, name)
+        module = factoring if name == "_coprime_mod" else realroots
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(realroots, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert main(["roots", "--level", "4"]) == 0
     capsys.readouterr()
     assert calls == {"_descartes": 3, "_coprime_mod": 0, "_square_free": 0}
@@ -488,7 +489,7 @@ def test_square_free_fallback_matches_sympy():
     # coefficient the prime of the modular proof divides: both fail that
     # proof and take the exact integer gcd
     rng = random.Random(59)
-    prime = realroots._PRIME
+    prime = factoring._PRIME
     cases = [poly for poly, _, _ in _non_square_free_cases(57, 70)]
     while len(cases) < 100:
         poly = P([rng.randint(1, 9), prime * rng.randint(1, 3)])
@@ -498,10 +499,10 @@ def test_square_free_fallback_matches_sympy():
             poly = poly * rng.choice([P([-2, 0, 1]), P([1, 0, 1]), P([5, -2, 1])])
         cases.append(poly)
     for poly in cases:
-        cs = realroots._primitive(list(poly.coefficients))
+        cs = polynomials._primitive(list(poly.coefficients))
         derivative = [i * c for i, c in enumerate(cs)][1:]
-        proved = (len(cs) - 1) * cs[-1] % prime and realroots._coprime_mod(
+        proved = (len(cs) - 1) * cs[-1] % prime and factoring._coprime_mod(
             cs, derivative, prime
         )
         assert not proved, poly
-        assert realroots._square_free(cs) == _sympy_square_free(cs), poly
+        assert factoring._square_free(cs) == _sympy_square_free(cs), poly
