@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice
+from operator import sub
 from typing import Optional, Union
 
 from .errors import (
@@ -113,9 +114,12 @@ def position_series(
 
 
 def _scan_positions(analysis, letter, n_terms, scan_bound=None) -> TruncatedSeries:
-    """`position_series` on an Analysis, found in C over doubling prefixes of
-    its word and never past scan_bound letters (by default the gap bound,
-    twice the longest image at the primitivity witness, times n_terms + 2)."""
+    """`position_series` on an Analysis, over doubling prefixes of its word
+    and never past scan_bound letters (by default the gap bound, twice the
+    longest image at the primitivity witness, times n_terms + 2).  Each
+    prefix is counted first with `str.count`; only one that holds n_terms
+    occurrences has its positions read, by `compress` over the letter's 0/1
+    bytes, all in C."""
     s = analysis.substitution
     if letter not in s.alphabet:
         raise KeyError(f"letter {letter!r} not in alphabet")
@@ -127,20 +131,19 @@ def _scan_positions(analysis, letter, n_terms, scan_bound=None) -> TruncatedSeri
             scan_bound = _gap_bound(s, witness) * (n_terms + 2)
         else:
             scan_bound = 4 * n_terms + 64
-    coeffs = [0]
-    done, end = 0, max(0, min(n_terms, scan_bound))
+    end = max(0, min(n_terms, scan_bound))
     while True:
         word = analysis.prefix(end)
-        hits = compress(count(done), map(letter.__eq__, word[done:]))
-        coeffs += islice(hits, n_terms + 1 - len(coeffs))
-        if len(coeffs) == n_terms + 1:
-            return TruncatedSeries.from_coefficients(coeffs)
+        found = word.count(letter)
+        if found >= n_terms:
+            hits = compress(count(), _zero_one(word, letter))
+            return TruncatedSeries.from_coefficients([0, *islice(hits, n_terms)])
         if end >= scan_bound:
             raise InsufficientOccurrencesError(
-                f"found only {len(coeffs) - 1} of {n_terms} occurrences of "
+                f"found only {found} of {n_terms} occurrences of "
                 f"{letter!r} within {scan_bound} letters"
             )
-        done, end = end, min(2 * end, scan_bound)
+        end = min(2 * end, scan_bound)
 
 
 def concat_char(
@@ -232,7 +235,7 @@ def difference_transform(ts: TruncatedSeries, m: int) -> TruncatedSeries:
         raise ValueError("order of differencing must be >= 0")
     cs = list(ts.coefficients)
     for _ in range(m):
-        cs = [cs[0]] + [cs[n] - cs[n - 1] for n in range(1, len(cs))]
+        cs = [cs[0], *map(sub, cs[1:], cs)]
     return TruncatedSeries(ts.order, tuple(cs))
 
 

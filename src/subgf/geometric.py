@@ -308,7 +308,8 @@ def classify_two_letter(
 
 def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassification:
     """Classify with positive tile lengths; only the equal-lengths and
-    periodic-rational cases build endpoints, to check CHECK_ORDER of them."""
+    periodic-rational cases check CHECK_ORDER endpoints against a closed
+    form, on integer sums (`_on_line`)."""
     s = analysis.substitution
     if len(s.alphabet) != 2:
         raise WrongAlphabetSizeError("classification requires exactly two letters")
@@ -316,8 +317,9 @@ def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassificati
     first, second = s.alphabet.letters
     g1, g2 = table[first], table[second]
     if g1 == g2:
-        points = _endpoints(s, table, analysis.prefix(CHECK_ORDER))
-        ok = all(points[n] == g1 * n for n in range(CHECK_ORDER + 1))
+        # g1 - g2 = 0, so endpoint n is n * g1 whatever the counts
+        zeros = [0] * (CHECK_ORDER + 1)
+        ok = _on_line(s, table, analysis.prefix(CHECK_ORDER), zeros)
         return TwoLetterClassification(
             "equal-lengths", shared_length=g1, verified=ok
         )
@@ -329,19 +331,14 @@ def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassificati
         form = rational_form_from_witness(analysis.indicator(first), witness)
         # G = difference * X * P / ((1-X)(1-X^d)) + second * X / (1-X)^2
         expanded = RationalForm(form.numerator, form.period, 1).expand(CHECK_ORDER)
-        points = _endpoints(s, table, analysis.prefix(CHECK_ORDER))
-        ok = all(
-            points[n]
-            == (expanded.coefficients[n - 1] if n else 0) * (g1 - g2) + g2 * n
-            for n in range(CHECK_ORDER + 1)
-        )
+        counts = [0, *expanded.coefficients[:CHECK_ORDER]]
         return TwoLetterClassification(
             "periodic-rational",
             numerator=form.numerator,
             period=form.period,
             difference=g1 - g2,
             second_weight=g2,
-            verified=ok,
+            verified=_on_line(s, table, analysis.prefix(CHECK_ORDER), counts),
         )
     if isinstance(verdict, AperiodicByIrrationalPF):
         return TwoLetterClassification(
@@ -352,3 +349,19 @@ def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassificati
             verified=True,
         )
     return TwoLetterClassification("inconclusive", verified=False)
+
+
+def _on_line(s: Substitution, table: dict, prefix: str, counts: list) -> bool:
+    """Whether endpoint n of `prefix` is counts[n] * (g1 - g2) + n * g2 for
+    every n, with g1 and g2 the lengths of the first and second letter.
+    Both sides are scaled by the common denominator c of `_scaled_lengths`,
+    where (p + q*sqrt(d)) / c has one integer form, so the check compares
+    the integer sums ps and qs of `_endpoint_sums` with integers."""
+    _, _, ps, qs = _endpoint_sums(s, table, prefix)
+    _, _, p_of, q_of = _scaled_lengths(table)
+    first, second = s.alphabet.letters
+    for sums, of in ((ps, p_of), (qs, q_of)):
+        diff, step = of[first] - of[second], of[second]
+        if sums != [e * diff + n * step for n, e in enumerate(counts)]:
+            return False
+    return True

@@ -1,6 +1,9 @@
-"""Detection of eventual periodicity in finite sequences of exact values:
-one C pass encodes the values as ids, then each candidate period costs one
-C comparison that stops at the first difference."""
+"""Detection of eventual periodicity in finite sequences of exact values.
+
+The values are read as one-byte ids: `bytes` as they are, an ASCII `str`
+after `encode`, anything else through one dict of ids (eight bytes each past
+256 distinct values).  One `bytes.find` of the head of the checked tail
+yields the candidate periods, and each candidate costs one C comparison."""
 from __future__ import annotations
 
 from array import array
@@ -17,6 +20,20 @@ class PeriodWitness:
     period: int
 
 
+def _ids(coeffs) -> tuple[bytes, int]:
+    """(ids, width): the values as injective ids of `width` bytes each."""
+    if isinstance(coeffs, str) and coeffs.isascii():
+        coeffs = coeffs.encode()
+    if isinstance(coeffs, bytes):
+        return coeffs, 1
+    seq = list(coeffs)
+    index = {v: i for i, v in enumerate(dict.fromkeys(seq))}
+    codes = map(index.__getitem__, seq)
+    if len(index) <= 256:
+        return bytes(codes), 1
+    return array("q", codes).tobytes(), 8
+
+
 def detect_period(coeffs, max_preperiod: int, max_period: int) -> PeriodWitness | None:
     """Smallest-period, then smallest-preperiod witness over the whole given
     sequence, or None if no witness fits the bounds.
@@ -24,30 +41,33 @@ def detect_period(coeffs, max_preperiod: int, max_period: int) -> PeriodWitness 
     The sequence must be at least max_preperiod + 10 * max_period long so
     that any reported witness has been confirmed well past its preperiod.
 
-    The ids (one byte each, eight past 256 distinct values) are encoded
-    once.  d is accepted iff c[n] == c[n + d] for all n >= max_preperiod: one
-    early-exit memoryview comparison, so a rejected d usually costs a few
-    ids.  Only the accepted d pays one XOR over the first max_preperiod ids,
-    whose top set bit marks the last mismatch, hence the preperiod.
+    d is accepted iff c[n] == c[n + d] for all n >= max_preperiod.  Such a d
+    <= max_period repeats the first max_period ids of that tail at offset d,
+    so one `bytes.find` over the tail's first 2 * max_period ids lists every
+    candidate (with 8-byte ids, only offsets that are a multiple of 8), and
+    each candidate costs one `startswith`.  Only the accepted d pays one XOR
+    over the first max_preperiod ids, whose top set bit marks the last
+    mismatch, hence the preperiod.
     """
     if max_preperiod < 0 or max_period < 1:
         raise ValueError("bounds must satisfy max_preperiod >= 0, max_period >= 1")
-    seq = list(coeffs)
-    size = len(seq)
+    ids, width = _ids(coeffs)
+    size = len(ids) // width
     if size < max_preperiod + 10 * max_period:
         raise InsufficientDataError(
             f"need at least {max_preperiod + 10 * max_period} values, got {size}"
         )
-    ids = {v: i for i, v in enumerate(dict.fromkeys(seq))}
-    codes = map(ids.__getitem__, seq)
-    view = memoryview(bytes(codes) if len(ids) <= 256 else array("q", codes))
-    cut = max_preperiod
-    for d in range(1, max_period + 1):
-        if view[cut : size - d] == view[cut + d :]:
-            x = int.from_bytes(view[:cut], "little") ^ int.from_bytes(
-                view[d : d + cut], "little"
+    view = memoryview(ids)
+    cut = max_preperiod * width
+    head = ids[cut : cut + max_period * width]
+    at, end = cut, cut + 2 * max_period * width
+    while (at := ids.find(head, at + 1, end)) >= 0:
+        shift = at - cut
+        if shift % width == 0 and ids.startswith(view[at:], cut):
+            x = int.from_bytes(ids[:cut], "little") ^ int.from_bytes(
+                ids[shift:at], "little"
             )
-            return PeriodWitness(-(-x.bit_length() // (8 * view.itemsize)), d)
+            return PeriodWitness(-(-x.bit_length() // (8 * width)), shift // width)
     return None
 
 

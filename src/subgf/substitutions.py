@@ -447,7 +447,7 @@ AperiodicityVerdict = Union[AperiodicByIrrationalPF, EventuallyPeriodic, Inconcl
 DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
 # Largest base prefix max_preperiod + 10 * max_period that an Analysis
 # accepts; larger bounds raise TooLargeError up front.  10**6 letters take
-# about 4 s and 111 MB for `analyze` on xyz (2-vCPU VM).
+# about 1.6 s and 106 MB for `analyze` on xyz (2-vCPU VM, best of 3).
 MAX_SEARCH_LETTERS = 10**6
 # Largest prefix of the fixed word that an Analysis builds: `expand --n`,
 # the orders of `series` and `geom`, and the extended prefix, sigma**power of
@@ -542,9 +542,10 @@ class Analysis:
         return list(_zero_one(self.prefix(self.need), letter))
 
     def raw_witness(self, letter: str) -> Optional[PeriodWitness]:
-        """`detect_period` on the letter's `indicator`."""
+        """`detect_period` on the letter's 0/1 bytes over the base prefix."""
         if letter not in self._raw:
-            self._raw[letter] = detect_period(self.indicator(letter), *self.bounds)
+            indicator = _zero_one(self.prefix(self.need), letter)
+            self._raw[letter] = detect_period(indicator, *self.bounds)
         return self._raw[letter]
 
     @cached_property

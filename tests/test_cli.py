@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import sys
 import time
 from pathlib import Path
@@ -159,6 +160,20 @@ def test_prefix_over_the_limit_refused_before_it_is_built(capsys, argv):
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert "exceeds the limit of 10000000" in err
+
+
+def test_late_position_series_refusal_is_quick(capsys):
+    # 9 * 10**6 occurrences of b need more than 10**7 letters, which the
+    # doubling scan learns only when it asks for 18 * 10**6; each prefix is
+    # counted before any position is collected
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "series", str(DATA / "fib.sub"),
+        "--letter", "b", "--kind", "pos", "--order", "9000000",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "prefix of 18000000 letters exceeds the limit of 10000000" in err
 
 
 def test_prefix_limit_is_inclusive(capsys, monkeypatch):
@@ -477,6 +492,49 @@ def test_stdout_is_pinned(capsys, command):
     code, out, _ = run(capsys, verb, str(DATA / f"{name}.sub"), *rest)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+def _random_rules(rng: random.Random, k: int, same_images: bool) -> str:
+    """Rule text on the first k of "abcde" with images of 1-4 letters; with
+    same_images every letter maps to one word ending in the last letter, so
+    the fixed word is periodic."""
+    letters = "abcde"[:k]
+    words = ["".join(rng.choices(letters, k=rng.randint(1, 4))) for _ in letters]
+    if same_images:
+        words = [words[0] + letters[-1]] * k
+    return "".join(f"{a} -> {w}\n" for a, w in zip(letters, words))
+
+
+def test_analyze_on_random_substitutions_is_pinned(capsys, tmp_path):
+    # 200 primitive 2-5 letter substitutions (every draw, primitive or not,
+    # is hashed), a third of them at --max-period 50; the sha256 of every
+    # exit code and stdout was recorded before the per-letter scans moved
+    # into bytes operations
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    kinds, cases = set(), set()
+    kept = drawn = 0
+    while kept < 200:
+        rules = tmp_path / f"r{drawn}.sub"
+        rules.write_text(_random_rules(rng, 2 + drawn % 4, drawn % 5 == 4))
+        bounds = ["--max-period", "50"] if drawn % 3 == 0 else []
+        drawn += 1
+        code, out, _ = run(capsys, "analyze", str(rules), *bounds)
+        digest.update(f"{code}\n{out}".encode())
+        doc = json.loads(out)
+        if doc["series"] is None:
+            continue
+        kept += 1
+        for verdicts in doc["series"].values():
+            kinds.update((kind, v["kind"]) for kind, v in verdicts.items())
+        if doc["geometric"]:
+            cases.add(doc["geometric"]["classification"]["case"])
+    assert ("characteristic", "rational") in kinds
+    assert ("position", "rational") in kinds
+    assert "periodic-rational" in cases
+    assert digest.hexdigest() == (
+        "ac5e9281413137b13920315af881f7cfb2b7dbdbfbb75d646332536fcdb4a99a"
+    )
 
 
 def test_module_entry_point():

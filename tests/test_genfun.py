@@ -34,7 +34,14 @@ from subgf.genfun import (
 )
 from subgf.periodicity import PeriodWitness, detect_period, verify_witness
 from subgf.polynomials import ExactPolynomial as P
-from subgf.substitutions import InconclusiveUpTo, Substitution, parse_substitution
+from subgf.substitutions import (
+    InconclusiveUpTo,
+    Substitution,
+    fixed_point_seed,
+    fixed_word_prefix,
+    gap_bound,
+    parse_substitution,
+)
 
 
 class TestPrefixPolynomials:
@@ -108,6 +115,35 @@ class TestSeries:
         with pytest.raises(InsufficientOccurrencesError):
             position_series(fib, fib_seed, "b", 10, scan_bound=5)
 
+    @given(
+        st.sampled_from(["fib", "xyz", "abab", "thue_morse"]),
+        st.data(),
+        st.integers(0, 60),
+        st.one_of(st.none(), st.integers(0, 200)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_position_series_matches_enumerate(
+        self, corpus, name, data, n_terms, bound
+    ):
+        s = corpus[name]
+        seed = fixed_point_seed(s)
+        letter = data.draw(st.sampled_from(s.alphabet.letters))
+        _check_positions(s, seed, letter, n_terms, bound)
+
+    @pytest.mark.parametrize("letter, n", [("a", 1), ("a", 7), ("b", 1), ("b", 20)])
+    def test_scan_ending_exactly_at_the_bound(self, fib, fib_seed, letter, n):
+        # the n-th occurrence is the last letter the scan may read
+        word = fixed_word_prefix(fib, fib_seed, 200)
+        last = [i for i, ch in enumerate(word) if ch == letter][n - 1]
+        for bound in (last, last + 1, 2 * last + 2):
+            _check_positions(fib, fib_seed, letter, n, bound)
+        with pytest.raises(InsufficientOccurrencesError) as info:
+            position_series(fib, fib_seed, letter, n, scan_bound=last)
+        assert str(info.value) == (
+            f"found only {n - 1} of {n} occurrences of {letter!r} "
+            f"within {last} letters"
+        )
+
     @pytest.mark.parametrize("name", ["fib", "xyz"])
     def test_reconstruction_from_positions(self, name, corpus):
         # the indicator series is the sum of X**position over occurrences
@@ -126,6 +162,26 @@ class TestSeries:
                 if p <= order:
                     rebuilt[p] = 1
             assert tuple(F(c) for c in rebuilt) == ts.coefficients
+
+
+def _check_positions(s, seed, letter, n_terms, bound):
+    """`position_series` against a brute-force `enumerate` over the
+    scan_bound-letter prefix (the default bound holds every occurrence
+    asked for)."""
+    n = gap_bound(s) * (n_terms + 2) if bound is None else bound
+    word = fixed_word_prefix(s, seed, n)
+    hits = [i for i, ch in enumerate(word) if ch == letter]
+    if bound is None or len(hits) >= n_terms:
+        ts = position_series(s, seed, letter, n_terms, bound)
+        assert list(ts.coefficients) == [0, *hits[:n_terms]]
+        assert all(type(c) is int for c in ts.coefficients)
+    else:
+        with pytest.raises(InsufficientOccurrencesError) as info:
+            position_series(s, seed, letter, n_terms, bound)
+        assert str(info.value) == (
+            f"found only {len(hits)} of {n_terms} occurrences of "
+            f"{letter!r} within {bound} letters"
+        )
 
 
 class TestConcatLaws:
@@ -307,6 +363,23 @@ def period_cases(draw, wide=False):
     return seq, max_preperiod, max_period
 
 
+def _forms(seq) -> list:
+    """seq as a non-ASCII str, a tuple, an iterator and a list mixing
+    Fractions in, plus an ASCII str and bytes when its values fit."""
+    rank = {v: i for i, v in enumerate(sorted(set(seq)))}
+    forms = [
+        "".join(chr(0x3B1 + rank[v]) for v in seq),
+        tuple(seq),
+        iter(seq),
+        [F(v) if i % 2 else v for i, v in enumerate(seq)],
+    ]
+    if len(rank) <= 94:
+        forms.append("".join(chr(33 + rank[v]) for v in seq))
+    if len(rank) <= 256:
+        forms.append(bytes(rank[v] for v in seq))
+    return forms
+
+
 class TestDetectPeriod:
     @given(st.one_of(period_cases(), period_cases(wide=True)))
     @settings(max_examples=300, deadline=None)
@@ -316,17 +389,33 @@ class TestDetectPeriod:
         assert w == naive_witness(seq, max_preperiod, max_period)
         assert w is None or verify_witness(seq, w)
 
-    @given(period_cases())
-    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(period_cases(), period_cases(wide=True)))
+    @settings(max_examples=150, deadline=None)
     def test_input_types_agree(self, case):
         seq, max_preperiod, max_period = case
         expected = naive_witness(seq, max_preperiod, max_period)
-        text = "".join("#abcd"[v + 1] for v in seq)
-        mixed = [F(1) if v == 1 and i % 2 else v for i, v in enumerate(seq)]
-        for form in (text, tuple(seq), iter(seq), mixed):
+        for form in _forms(seq):
             assert detect_period(form, max_preperiod, max_period) == expected
         if expected:
-            assert verify_witness(text, expected) and verify_witness(iter(seq), expected)
+            assert verify_witness(_forms(seq)[0], expected)
+            assert verify_witness(iter(seq), expected)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("max_period", [1, 2, 5, 31])
+    def test_period_at_the_bound(self, wide, max_period):
+        # the smallest period is exactly max_period, so its copy of the head
+        # is the last one the candidate search may find
+        head = list(range(1000, 1300)) if wide else [7, 8]
+        block = [0] * (max_period - 1) + [1]
+        seq = head + block * (10 * max_period + 3)
+        n0 = len(head)
+        cases = {(n0, max_period): PeriodWitness(n0, max_period), (n0 - 1, max_period): None}
+        if max_period > 1:
+            cases[n0, max_period - 1] = None
+        for bounds, expected in cases.items():
+            assert naive_witness(seq, *bounds) == expected
+            for form in _forms(seq):
+                assert detect_period(form, *bounds) == expected
 
     @given(st.lists(st.integers(0, 2), max_size=30), st.integers(0, 35), st.integers(1, 40))
     @settings(max_examples=300, deadline=None)
@@ -374,6 +463,11 @@ class TestDetectPeriod:
         # forces the wide integer encoding path
         seq = list(range(300)) + [5, 6] * 1500
         assert detect_period(seq, 300, 10) == PeriodWitness(300, 2)
+        # the tail repeats id 0, whose eight zero bytes match the head at
+        # every byte offset: only whole ids count as periods
+        seq = [7, *range(1000, 1300)] + [7] * 3000
+        assert detect_period(seq, 301, 10) == PeriodWitness(301, 1)
+        assert detect_period(seq, 300, 10) is None
 
 
 class TestRationalForm:

@@ -9,9 +9,10 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subgf import cli
+from subgf import cli, geometric
 from subgf.errors import WrongAlphabetSizeError
 from subgf.geometric import (
+    CHECK_ORDER,
     _endpoint_sums,
     _endpoints,
     classify_two_letter,
@@ -22,7 +23,7 @@ from subgf.geometric import (
     pf_as_quadratic,
     reduce_two_letter,
 )
-from subgf.genfun import summatory_transform, char_series
+from subgf.genfun import RationalForm, summatory_transform, char_series
 from subgf.polynomials import ExactPolynomial as P
 from subgf.quadratic import QuadraticReal as Q, _decimal_str, _int_form
 from subgf.serialize import exact_str, value_decimal, value_str
@@ -201,6 +202,60 @@ class TestClassification:
             s = corpus[name]
             with pytest.raises(ValueError):
                 classify_two_letter(s, fixed_point_seed(s), lengths)
+
+
+_TWO_LETTER_RULES = ["a->ab\nb->ab", "a->aab\nb->aab", "a->abb\nb->abb", "a->ab\nb->a"]
+
+
+@st.composite
+def _two_letter_lengths(draw):
+    """Positive lengths of a and b in Q or Q(sqrt(d)), equal half the time."""
+    d = draw(st.sampled_from([2, 5, 13]))
+    value = st.one_of(
+        st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
+        st.builds(lambda a, b: Q(a, b, d), _small, _small),
+    ).filter(lambda x: x > 0)
+    g1 = draw(value)
+    return {"a": g1, "b": g1 if draw(st.booleans()) else draw(value)}
+
+
+def _reference_verified(s, lengths, cls) -> bool:
+    """`verified` of an equal-lengths or periodic-rational classification,
+    recomputed on Fraction and QuadraticReal endpoint values."""
+    g1, g2 = lengths["a"], lengths["b"]
+    irrational = [x for x in (g1, g2) if isinstance(x, Q) and x.b]
+    points = [Q(0, 0, irrational[0].d) if irrational else F(0)]
+    for ch in fixed_word_prefix(s, fixed_point_seed(s), CHECK_ORDER):
+        points.append(points[-1] + lengths[ch])
+    if cls.case == "equal-lengths":
+        return all(points[n] == n * g1 for n in range(CHECK_ORDER + 1))
+    counts = RationalForm(cls.numerator, cls.period, 1).expand(CHECK_ORDER).coefficients
+    return all(
+        points[n] == (counts[n - 1] if n else 0) * (g1 - g2) + n * g2
+        for n in range(CHECK_ORDER + 1)
+    )
+
+
+@given(st.sampled_from(_TWO_LETTER_RULES), _two_letter_lengths(),
+       st.integers(1, CHECK_ORDER), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_classification_verified_matches_value_arithmetic(rules, lengths, n, in_q):
+    s = parse_substitution(rules)
+    cls = classify_two_letter(s, fixed_point_seed(s), lengths)
+    if cls.case not in ("equal-lengths", "periodic-rational"):
+        return
+    assert cls.verified
+    assert _reference_verified(s, lengths, cls)
+
+    # one integer sum off by one, in the rational or the surd part
+    def bumped(*args):
+        c, d, ps, qs = original(*args)
+        (qs if in_q else ps)[n] += 1
+        return c, d, ps, qs
+
+    original = geometric._endpoint_sums
+    with patch.object(geometric, "_endpoint_sums", bumped):
+        assert not classify_two_letter(s, fixed_point_seed(s), lengths).verified
 
 
 # -- the integer endpoint kernel against a value-by-value reference ----------
