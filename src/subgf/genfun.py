@@ -113,13 +113,12 @@ def position_series(
     return _scan_positions(Analysis(s, seed), letter, n_terms, scan_bound)
 
 
-def _scan_positions(analysis, letter, n_terms, scan_bound=None) -> TruncatedSeries:
-    """`position_series` on an Analysis, over doubling prefixes of its word
-    and never past scan_bound letters (by default the gap bound, twice the
-    longest image at the primitivity witness, times n_terms + 2).  Each
-    prefix is counted first with `str.count`; only one that holds n_terms
-    occurrences has its positions read, by `compress` over the letter's 0/1
-    bytes, all in C."""
+def _occurrences(analysis, letter, n_terms, scan_bound=None) -> bytes:
+    """The letter's `_zero_one` bytes over the first of the doubling prefixes
+    of the Analysis' word that holds n_terms occurrences, never past
+    scan_bound letters (by default the gap bound, twice the longest image at
+    the primitivity witness, times n_terms + 2).  Each prefix is counted with
+    `str.count` before any byte is made."""
     s = analysis.substitution
     if letter not in s.alphabet:
         raise KeyError(f"letter {letter!r} not in alphabet")
@@ -136,14 +135,54 @@ def _scan_positions(analysis, letter, n_terms, scan_bound=None) -> TruncatedSeri
         word = analysis.prefix(end)
         found = word.count(letter)
         if found >= n_terms:
-            hits = compress(count(), _zero_one(word, letter))
-            return TruncatedSeries.from_coefficients([0, *islice(hits, n_terms)])
+            return _zero_one(word, letter)
         if end >= scan_bound:
             raise InsufficientOccurrencesError(
                 f"found only {found} of {n_terms} occurrences of "
                 f"{letter!r} within {scan_bound} letters"
             )
         end = min(2 * end, scan_bound)
+
+
+def _scan_positions(
+    analysis, letter, n_terms, scan_bound=None, ones=None
+) -> TruncatedSeries:
+    """`position_series` on an Analysis: `compress` over the letter's 0/1
+    bytes `ones` (by default `_occurrences`), all in C."""
+    if ones is None:
+        ones = _occurrences(analysis, letter, n_terms, scan_bound)
+    hits = compress(count(), ones)
+    return TruncatedSeries.from_coefficients([0, *islice(hits, n_terms)])
+
+
+GAP_WINDOW = 1 << 16  # bytes of a 0/1 indicator that `_gaps` splits at a time
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"  # translate table of r -> r + 1
+
+
+def _gaps(ones: bytes, n_terms: int) -> Union[bytes, list]:
+    """The differenced position series [0, r0, r1 + 1, r2 + 1, ...] of the
+    first n_terms 1s of a 0/1 indicator that holds them, where r_k is the
+    length of the k-th run of 0s before a 1.  The runs come from
+    `bytes.split` over windows of GAP_WINDOW bytes, the run that crosses a
+    window's end carried into the next, so only one window's pieces are
+    objects at a time.  Bytes that are the gap values themselves when every
+    gap is below 256, else a list of ints."""
+    runs, carry, at = [], 0, 0
+    while len(runs) < n_terms and at < len(ones):
+        k = len(runs)
+        runs += map(len, ones[at : at + GAP_WINDOW].split(b"\x01"))
+        runs[k] += carry
+        carry = runs.pop()  # the window's last run, unfinished
+        at += GAP_WINDOW
+    del runs[n_terms:]
+    try:
+        rl = bytearray(runs)
+    except ValueError:  # a run of 256 or more 0s
+        pass
+    else:
+        if rl.find(255, 1) < 0:  # and no gap r + 1 = 256
+            return b"\x00" + rl[:1] + rl[1:].translate(_PLUS_ONE)
+    return [0, *runs[:1], *(r + 1 for r in runs[1:])]
 
 
 def concat_char(
@@ -329,6 +368,11 @@ def series_verdict_of(
     two letters of an aperiodic fixed word must be non-periodic because the
     letter indicators sum to the all-ones sequence.  Everything else is
     inconclusive.
+
+    The position series is decided on its gaps, the series times (1 - X):
+    `_gaps` reads them from the zero runs of the letter's 0/1 bytes, and
+    the positions are read, by `_scan_positions` on the same bytes, only to
+    re-check a witness's certificate.
     """
     s = analysis.substitution
     if letter not in s.alphabet:
@@ -345,18 +389,19 @@ def series_verdict_of(
             form = rational_form_from_witness(analysis.indicator(letter), w)
             return Rational(form, w)
     else:
-        # position kind: difference once (bounded gaps make the differenced
-        # sequence take finitely many values), detect, then multiply the
-        # certificate back by 1/(1 - X)
+        # position kind: the gaps are bounded, so they take finitely many
+        # values; detect on them, then multiply the certificate back by
+        # 1/(1 - X) and re-check it on the positions
         try:
-            pos = _scan_positions(analysis, letter, analysis.need)
+            ones = _occurrences(analysis, letter, analysis.need)
         except InsufficientOccurrencesError:
             return inconclusive
-        diff = difference_transform(pos, 1)
-        w = detect_period(diff.coefficients, *analysis.bounds)
+        gaps = _gaps(ones, analysis.need)
+        w = detect_period(gaps, *analysis.bounds)
         if w is not None:
-            base = rational_form_from_witness(diff.coefficients, w)
+            base = rational_form_from_witness(gaps, w)
             form = RationalForm(base.numerator, base.period, summatory_power=1)
+            pos = _scan_positions(analysis, letter, analysis.need, ones=ones)
             if form.expand(pos.order).coefficients != pos.coefficients:
                 raise WitnessInvalidError("position re-expansion failed")
             return Rational(form, w)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from subgf import periodicity, quadratic, substitutions
+from subgf import genfun, periodicity, quadratic, substitutions
 from subgf.cli import main
 from subgf.quadratic import QuadraticReal
 from subgf.serialize import canonical_dumps
@@ -196,6 +196,18 @@ def test_large_period_bound_pinned(capsys):
     )
 
 
+def test_gaps_over_255_pinned(capsys, tmp_path):
+    # every gap between two b's is 301 or 302, past the one-byte ids of the
+    # position verdict; recorded before the verdict read gaps from zero runs
+    path = tmp_path / "wide.sub"
+    path.write_text(f"a -> {'a' * 300}b\nb -> a\n")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "763bb4a7024d82c955c6a27bbcf3daa45d8bfec8bc8cb5955006ddbbd3f85ab2"
+    )
+
+
 class TestRoots:
     def test_level_one(self, capsys):
         code, out, _ = run(capsys, "roots", "--level", "1", "--tol", "1e-6")
@@ -318,6 +330,17 @@ class TestAnalyze:
         assert counts["_blocks"] == 1
         assert counts["detect_period"] <= 2 * k + 1
 
+    @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
+    def test_positions_built_only_for_witnesses(self, capsys, monkeypatch, name):
+        # position verdicts are decided on the gaps; positions are read only
+        # to re-check a witness, once per rational position verdict
+        counts = _count_facts(monkeypatch)
+        code, out, _ = run(capsys, "analyze", str(DATA / f"{name}.sub"))
+        assert out == (GOLDEN / f"{name}.json").read_text()
+        series = json.loads(out)["series"]
+        rational = sum(v["position"]["kind"] == "rational" for v in series.values())
+        assert counts["_scan_positions"] == rational
+
 
 def _count_facts(monkeypatch) -> dict:
     """Counters rebound around the fact-deriving functions, in every module
@@ -328,7 +351,8 @@ def _count_facts(monkeypatch) -> dict:
                          (substitutions, "characteristic_polynomial"),
                          (substitutions, "is_primitive"),
                          (substitutions, "_blocks"),
-                         (periodicity, "detect_period")):
+                         (periodicity, "detect_period"),
+                         (genfun, "_scan_positions")):
         counts[attr] = 0
         original = getattr(module, attr)
 

@@ -1,18 +1,22 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from subgf import genfun
 from subgf.errors import (
     CountMismatchError,
     DegreeOverflowError,
     InsufficientDataError,
     InsufficientOccurrencesError,
+    NoGrowingFixedPointError,
     NotPrimitiveError,
     WitnessInvalidError,
 )
 from subgf.genfun import (
     CHARACTERISTIC,
+    GAP_WINDOW,
     POSITION,
     Rational,
     RationalForm,
@@ -31,10 +35,14 @@ from subgf.genfun import (
     series_verdict,
     summatory_transform,
     weighted_series,
+    _gaps,
+    _occurrences,
+    _scan_positions,
 )
 from subgf.periodicity import PeriodWitness, detect_period, verify_witness
 from subgf.polynomials import ExactPolynomial as P
 from subgf.substitutions import (
+    Analysis,
     InconclusiveUpTo,
     Substitution,
     fixed_point_seed,
@@ -468,6 +476,91 @@ class TestDetectPeriod:
         seq = [7, *range(1000, 1300)] + [7] * 3000
         assert detect_period(seq, 301, 10) == PeriodWitness(301, 1)
         assert detect_period(seq, 300, 10) is None
+
+
+@st.composite
+def primitive_substitutions(draw):
+    """Random primitive substitutions on 2-5 letters, with images of 1-4
+    letters and a growing fixed point."""
+    letters = "abcde"[: draw(st.integers(2, 5))]
+    image = st.text(letters, min_size=1, max_size=4)
+    s = Substitution.from_rules({a: draw(image) for a in letters})
+    analysis = Analysis(s)
+    assume(analysis.primitivity_witness is not None)
+    try:
+        analysis.seed
+    except NoGrowingFixedPointError:
+        assume(False)
+    return s
+
+
+def _wide(k: int) -> Substitution:
+    """a -> a**k b, b -> a: the runs of a's before each b are k and k + 1."""
+    return Substitution.from_rules({"a": "a" * k + "b", "b": "a"})
+
+
+class TestGaps:
+    """`_gaps`, the position verdict's differenced series from zero runs,
+    against `difference_transform` of the positions."""
+
+    @given(
+        primitive_substitutions(),
+        st.integers(0, 3000),
+        st.one_of(st.integers(1, 64), st.just(GAP_WINDOW)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_match_differenced_positions(self, s, n, window, data):
+        letter = data.draw(st.sampled_from(s.alphabet.letters))
+        analysis = Analysis(s)
+        expected = difference_transform(_scan_positions(analysis, letter, n), 1).coefficients
+        with patch.object(genfun, "GAP_WINDOW", window):
+            gaps = _gaps(_occurrences(analysis, letter, n), n)
+        assert list(gaps) == list(expected)
+        assert isinstance(gaps, bytes) == (max(expected) < 256)
+        if n >= 10:
+            max_period = data.draw(st.integers(1, (n + 1) // 10))
+            max_preperiod = data.draw(st.integers(0, n + 1 - 10 * max_period))
+            assert detect_period(gaps, max_preperiod, max_period) == detect_period(
+                list(expected), max_preperiod, max_period
+            )
+
+    @pytest.mark.parametrize("k, wide", [(253, False), (254, True), (255, True), (300, True)])
+    def test_byte_limit(self, k, wide):
+        # runs of k and k + 1 zeros: gaps up to k + 2, one byte while below 256
+        analysis = Analysis(_wide(k))
+        n = analysis.need
+        gaps = _gaps(_occurrences(analysis, "b", n), n)
+        expected = difference_transform(_scan_positions(analysis, "b", n), 1).coefficients
+        assert list(gaps) == list(expected)
+        assert gaps[1] == k and max(gaps) == k + 2
+        assert isinstance(gaps, list) == wide
+        for bounds in (analysis.bounds, (0, 300)):
+            assert detect_period(gaps, *bounds) == detect_period(list(expected), *bounds)
+
+    def test_letter_at_position_zero(self, fib):
+        gaps = _gaps(_occurrences(Analysis(fib), "a", 5), 5)
+        assert gaps == bytes([0, 0, 2, 1, 2, 2])
+
+    @pytest.mark.parametrize("first, rest, wide", [
+        (255, 254, False), (256, 254, True), (0, 255, True), (255, 0, False),
+    ])
+    def test_first_run_is_not_shifted(self, first, rest, wide):
+        ones = b"\x00" * first + b"\x01" + (b"\x00" * rest + b"\x01") * 3
+        gaps = _gaps(ones, 4)
+        assert list(gaps) == [0, first] + [rest + 1] * 3
+        assert isinstance(gaps, list) == wide
+
+    def test_runs_across_window_edges(self):
+        # one run ends just past the first window, one spans the whole
+        # second window, and the window holding the last 1 ends in 0s
+        cut = GAP_WINDOW
+        ones = bytearray(4 * cut)
+        for p in (5, cut + 2, 3 * cut + 7, 3 * cut + 9):
+            ones[p] = 1
+        assert _gaps(bytes(ones), 4) == [0, 5, cut - 3, 2 * cut + 5, 2]
+        assert _gaps(bytes(ones), 2) == [0, 5, cut - 3]
+        assert _gaps(bytes(ones), 0) == b"\x00"
 
 
 class TestRationalForm:
