@@ -20,8 +20,6 @@ from .genfun import (
     TruncatedSeries,
     char_prefix_poly,
     char_series,
-    concat_char,
-    concat_pos,
     detect_period,
     difference_transform,
     position_prefix_poly,
@@ -32,17 +30,14 @@ from .genfun import (
     series_verdict,
     series_verdict_of,
     summatory_transform,
-    weighted_series,
 )
 from .geometric import (
     LengthAssignment,
     classify_two_letter,
     classify_two_letter_of,
     endpoint_sequence,
-    geometric_series,
     natural_lengths,
     natural_lengths_of,
-    reduce_two_letter,
 )
 from .periodicity import PeriodWitness
 from .polynomials import ExactPolynomial

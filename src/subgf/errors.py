@@ -46,14 +46,6 @@ class InsufficientOccurrencesError(SubgfError):
     pass
 
 
-class DegreeOverflowError(SubgfError):
-    pass
-
-
-class CountMismatchError(SubgfError):
-    pass
-
-
 class WitnessInvalidError(SubgfError):
     pass
 

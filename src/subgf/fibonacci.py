@@ -26,7 +26,6 @@ from .substitutions import (
     Substitution,
     fixed_point_seed,
     fixed_word,
-    fixed_word_prefix,
 )
 
 FIBONACCI = Substitution.from_rules({"a": "ab", "b": "a"})
@@ -159,74 +158,6 @@ def verify_decomposition(n: int, order: int) -> bool:
     target = char_series(FIBONACCI, FIBONACCI_SEED, "a", order)
     return all(
         Fraction(c) == t for c, t in zip(coeffs, target.coefficients)
-    )
-
-
-@dataclass(frozen=True)
-class PositionIdentityReport:
-    """Brute-force verification of the closed forms tying occurrence
-    positions of a and b to the running count of a's.
-
-    The validated forms are p_a(n) = (n-1) + S(n-2) and
-    p_b(n) = (2n-1) + S(n-2), with S(m) the number of a's among
-    w_0..w_m and S(-1) = 0.  first_fail_shifted_* record where the
-    rejected off-by-one index convention (p_a(n) = n-2+S(n-1),
-    p_b(n) = 2n-2+S(n-1)) first disagrees with the scan."""
-
-    prefix_length: int
-    terms_a: int
-    terms_b: int
-    difference_identity_ok: bool
-    closed_form_a_ok: bool
-    closed_form_b_ok: bool
-    summatory_inverse_ok: bool
-    first_fail_shifted_a: int | None
-    first_fail_shifted_b: int | None
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.difference_identity_ok
-            and self.closed_form_a_ok
-            and self.closed_form_b_ok
-            and self.summatory_inverse_ok
-        )
-
-
-def fib_position_identities(order: int) -> PositionIdentityReport:
-    prefix = fixed_word_prefix(FIBONACCI, FIBONACCI_SEED, order)
-    running = [0] * (order + 1)  # running[m+1] = S(m) = # of a's in w_0..w_m
-    pos_a, pos_b = [], []
-    for i, ch in enumerate(prefix):
-        running[i + 1] = running[i] + (ch == "a")
-        (pos_a if ch == "a" else pos_b).append(i)
-
-    def s_incl(m: int) -> int:
-        return running[m + 1] if m >= 0 else 0
-
-    terms = min(len(pos_a), len(pos_b))
-    diff_ok = all(pos_b[i] - pos_a[i] == i + 1 for i in range(terms))
-    a_ok = all(pos_a[n - 1] == (n - 1) + s_incl(n - 2) for n in range(1, len(pos_a) + 1))
-    b_ok = all(pos_b[n - 1] == (2 * n - 1) + s_incl(n - 2) for n in range(1, len(pos_b) + 1))
-    summ_ok = all(s_incl(pos_a[n - 1]) == n for n in range(1, len(pos_a) + 1))
-    shift_a = next(
-        (n for n in range(1, len(pos_a) + 1) if pos_a[n - 1] != n - 2 + s_incl(n - 1)),
-        None,
-    )
-    shift_b = next(
-        (n for n in range(1, len(pos_b) + 1) if pos_b[n - 1] != 2 * n - 2 + s_incl(n - 1)),
-        None,
-    )
-    return PositionIdentityReport(
-        prefix_length=order,
-        terms_a=len(pos_a),
-        terms_b=len(pos_b),
-        difference_identity_ok=diff_ok,
-        closed_form_a_ok=a_ok,
-        closed_form_b_ok=b_ok,
-        summatory_inverse_ok=summ_ok,
-        first_fail_shifted_a=shift_a,
-        first_fail_shifted_b=shift_b,
     )
 
 

@@ -1,13 +1,13 @@
 """Generating functions of letters in a fixed word: truncated series,
-prefix polynomials, concatenation and recursion laws, differencing and
+prefix polynomials, the block recursion over sigma**n, differencing and
 summatory transforms, periodicity certificates, and rationality verdicts.
 
 Series, positions and verdicts read the prefix, PF data, witnesses and the
 aperiodicity verdict from a `substitutions.Analysis`, which derives each once;
 the public `(s, seed)` forms build a fresh one.
 
-Everything here is exact: integer series stay integers, weights and
-certificates are rationals, and there is no floating point.
+Everything here is exact: integer series stay integers, certificates are
+rationals, and there is no floating point.
 """
 from __future__ import annotations
 
@@ -17,14 +17,12 @@ from operator import sub
 from typing import Optional, Union
 
 from .errors import (
-    CountMismatchError,
-    DegreeOverflowError,
     InsufficientOccurrencesError,
     NotPrimitiveError,
     WitnessInvalidError,
 )
 from .periodicity import PeriodWitness, detect_period, verify_witness
-from .polynomials import ExactPolynomial, _frac
+from .polynomials import ExactPolynomial
 from .substitutions import (
     DEFAULT_BOUNDS,
     AperiodicByIrrationalPF,
@@ -86,19 +84,6 @@ def _char_series(analysis: Analysis, letter: str, order: int) -> TruncatedSeries
         raise ValueError("order must be >= 0")
     prefix = analysis.prefix(order + 1)
     return TruncatedSeries.from_coefficients(_zero_one(prefix, letter))
-
-
-def weighted_series(
-    s: Substitution, seed: FixedPointSeed, weights: dict, order: int
-) -> TruncatedSeries:
-    """Series whose n-th coefficient is the weight of the n-th letter."""
-    if set(weights) != set(s.alphabet.letters):
-        raise ValueError("weighting must cover exactly the alphabet")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    table = {a: _frac(weights[a]) for a in s.alphabet}
-    prefix = Analysis(s, seed).prefix(order + 1)
-    return TruncatedSeries.from_coefficients(table[ch] for ch in prefix)
 
 
 def position_series(
@@ -185,52 +170,12 @@ def _gaps(ones: bytes, n_terms: int) -> Union[bytes, list]:
     return [0, *runs[:1], *(r + 1 for r in runs[1:])]
 
 
-def concat_char(
-    cu: ExactPolynomial, cv: ExactPolynomial, len_u: int
-) -> ExactPolynomial:
-    """Indicator polynomial of a concatenation: cu + X**len_u * cv."""
-    if len_u < 0:
-        raise ValueError("block length must be >= 0")
-    if cu.degree >= len_u:
-        raise DegreeOverflowError(
-            f"degree {cu.degree} is not below the block length {len_u}"
-        )
-    return cu + cv.shift(len_u)
-
-
-def concat_pos(
-    pu: ExactPolynomial,
-    pv: ExactPolynomial,
-    len_u: int,
-    count_u: int,
-    count_v: int,
-) -> ExactPolynomial:
-    """Position polynomial of a concatenation.
-
-    The occurrence index shifts by count_u (not by the block length), and
-    every position from the second block gains len_u:
-
-        P(uv) = P(u) + X**count_u * P(v)
-                + len_u * (X**(count_u+1) + ... + X**(count_u+count_v))
-    """
-    if pu.degree > count_u or pv.degree > count_v:
-        raise CountMismatchError(
-            "polynomial degree exceeds the stated occurrence count"
-        )
-    if min(len_u, count_u, count_v) < 0:
-        raise ValueError("lengths and counts must be non-negative")
-    out = pu + pv.shift(count_u)
-    if count_v and len_u:
-        ramp = ExactPolynomial([0] * (count_u + 1) + [len_u] * count_v)
-        out = out + ramp
-    return out
-
-
 def _level_table(s: Substitution, table: dict, level: int) -> dict[str, list]:
     """Dense coefficient lists over sigma**level of every letter, from the
     lists `table` over each letter's block: the one block recursion.  A
-    letter's list is the concatenation of the lists of its image, which is
-    `concat_char` on dense lists, and a list's length is its block length."""
+    letter's list is the concatenation of the lists of its image, so for
+    indicator lists C(uv) = C(u) + X**|u| * C(v), and a list's length is its
+    block length."""
     for _ in range(level):
         table = {
             a: list(chain.from_iterable(table[b] for b in s.image(a)))

@@ -1,12 +1,12 @@
 """Geometric realisation of a fixed word: natural tile lengths from the
-dominant left eigenvector, the increasing endpoint sequence, its generating
-function, and the two-letter classification.
+dominant left eigenvector, the increasing endpoint sequence, the identity of
+its generating function, and the two-letter classification.
 
 Lengths are exact (rational, or in Q(sqrt(D)) when the minimal polynomial of
-the dominant eigenvalue is quadratic); for higher-degree eigenvalues the
-lengths fall back to certified rational approximations and every result is
-flagged as approximate.  Endpoints are integer prefix sums over the
-lengths' one common denominator; values are built from them only on request.
+the dominant eigenvalue is quadratic); for higher-degree eigenvalues they are
+rational power-iteration approximations, flagged `exact: false`.  Endpoints
+are integer prefix sums over the lengths' one common denominator; values are
+built from them only on request.
 """
 from __future__ import annotations
 
@@ -60,15 +60,11 @@ class LengthAssignment:
     by_letter: dict[str, TileLength]
     exact: bool
     radicand: Optional[int] = None
-    error_bound: Optional[Fraction] = None
 
     def __post_init__(self):
         for letter, value in self.by_letter.items():
             if value <= 0:
                 raise ValueError(f"length of {letter!r} must be positive")
-
-    def values_in_order(self, s: Substitution) -> list[TileLength]:
-        return [self.by_letter[a] for a in s.alphabet]
 
 
 def _length_map(lengths) -> dict[str, TileLength]:
@@ -135,25 +131,19 @@ def natural_lengths_of(analysis: Analysis) -> LengthAssignment:
         if radicand is None:
             vec = [x.a if isinstance(x, QuadraticReal) else x for x in vec]
         return LengthAssignment(dict(zip(s.alphabet, vec)), exact=True, radicand=radicand)
-    return _approximate_lengths(s, matrix, data)
+    return _approximate_lengths(s, matrix)
 
 
-def _approximate_lengths(s, matrix, data) -> LengthAssignment:
-    """Power iteration with exact rational arithmetic; the result is flagged
-    approximate and carries the computed eigen-residual as its error bound."""
+def _approximate_lengths(s, matrix) -> LengthAssignment:
+    """300 steps of power iteration in exact integers, normalized so the last
+    letter's tile has length 1; the result is flagged approximate."""
     k = matrix.k
     vec = [1] * k
     for _ in range(300):
         vec = [sum(vec[i] * matrix.rows[i][j] for i in range(k)) for j in range(k)]
     last = vec[-1]
     values = [Fraction(x, last) for x in vec]
-    lam = (data.pf_lower + data.pf_upper) / 2
-    image = [sum(values[i] * matrix.rows[i][j] for i in range(k)) for j in range(k)]
-    residual = max(abs(image[j] - lam * values[j]) for j in range(k))
-    bound = residual + (data.pf_upper - data.pf_lower)
-    return LengthAssignment(
-        dict(zip(s.alphabet.letters, values)), exact=False, error_bound=bound
-    )
+    return LengthAssignment(dict(zip(s.alphabet.letters, values)), exact=False)
 
 
 def endpoint_sequence(
@@ -218,24 +208,6 @@ def _sums_ok(table: dict, prefix: str, ps: list, qs: list) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class GeometricSeries:
-    """Truncated series of the endpoint generating function, together with
-    the per-letter weights it decomposes over."""
-
-    order: int
-    coefficients: tuple
-    weights: dict[str, TileLength]
-
-
-def geometric_series(
-    s: Substitution, seed: FixedPointSeed, lengths, order: int
-) -> GeometricSeries:
-    table = _length_map(lengths)
-    points = endpoint_sequence(s, seed, table, order)
-    return GeometricSeries(order, tuple(points), dict(table))
-
-
 def geometric_identity_ok(points: list, prefix: str, lengths) -> bool:
     """Coefficientwise check that (1 - X) * G equals X * C_g on the
     truncation: the endpoints of `prefix` start at 0 and their successive
@@ -250,33 +222,6 @@ def geometric_identity_ok(points: list, prefix: str, lengths) -> bool:
         ps.append(p * (c // cx))
         qs.append(q * (c // cx))
     return _sums_ok(table, prefix, ps, qs)
-
-
-@dataclass(frozen=True)
-class TwoLetterReduction:
-    """C_g collapses onto the first letter's indicator series:
-    C_g = difference * C_{first} + second_weight / (1 - X)."""
-
-    difference: TileLength
-    first_weight: TileLength
-    second_weight: TileLength
-    verified: bool
-
-
-def reduce_two_letter(
-    s: Substitution, seed: FixedPointSeed, lengths, order: int = 1000
-) -> TwoLetterReduction:
-    table = _length_map(lengths)
-    if len(s.alphabet) != 2:
-        raise WrongAlphabetSizeError("reduction requires exactly two letters")
-    first, second = s.alphabet.letters
-    g1, g2 = table[first], table[second]
-    prefix = Analysis(s, seed).prefix(order + 1)
-    diff = g1 - g2
-    verified = all(
-        table[ch] == diff * int(ch == first) + g2 for ch in prefix
-    )
-    return TwoLetterReduction(diff, g1, g2, verified)
 
 
 @dataclass(frozen=True)

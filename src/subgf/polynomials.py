@@ -232,37 +232,6 @@ class ExactPolynomial:
         ints, _ = self.integer_coefficients()
         return _sign_at(ints, *_point_data(_frac(x), self.degree))
 
-    def __divmod__(self, other: ExactPolynomial):
-        if not isinstance(other, ExactPolynomial):
-            other = ExactPolynomial((other,))
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dq = len(rem) - len(other._coeffs)
-        if dq < 0:
-            return ExactPolynomial.zero(), self
-        quo = [0] * (dq + 1)
-        inv_lead = Fraction(1, other.leading_coefficient)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quo[k] = c
-            if c:
-                for i, oc in enumerate(other._coeffs):
-                    rem[k + i] -= c * oc
-        return ExactPolynomial(quo), ExactPolynomial(rem[: other.degree])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: ExactPolynomial) -> ExactPolynomial:
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
-
     def integer_coefficients(self) -> tuple[list[int], int]:
         """Return (ints, den) with den > 0 and den * self having the listed
         integer coefficients."""

@@ -224,9 +224,6 @@ class SubstitutionMatrix:
             out = out * self
         return out
 
-    def is_positive(self) -> bool:
-        return all(e > 0 for row in self.rows for e in row)
-
 
 def substitution_matrix(s: Substitution) -> SubstitutionMatrix:
     return SubstitutionMatrix(

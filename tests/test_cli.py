@@ -565,10 +565,12 @@ def test_module_entry_point():
     import subprocess
     import sys
 
+    src = str(Path(__file__).parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "subgf", "expand", str(DATA / "fib.sub"), "--n", "8"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "abaababa"

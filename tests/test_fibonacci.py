@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -8,7 +9,6 @@ from subgf.fibonacci import (
     FIBONACCI_SEED,
     MIN_TOLERANCE,
     block_sequence,
-    fib_position_identities,
     fibonacci_numbers,
     induced_three_letter_substitution,
     pair_polynomials,
@@ -144,14 +144,23 @@ class TestDecomposition:
 
 class TestPositionIdentities:
     def test_report(self):
-        report = fib_position_identities(10**5)
-        assert report.all_ok
-        assert report.difference_identity_ok
-        assert report.closed_form_a_ok and report.closed_form_b_ok
-        assert report.summatory_inverse_ok
+        # p_a(n) = (n-1) + S(n-2) and p_b(n) = (2n-1) + S(n-2), with S(m)
+        # the number of a's among w_0..w_m and S(-1) = 0
+        word = fixed_word_prefix(FIBONACCI, FIBONACCI_SEED, 10**5)
+        running = [0, *accumulate(ch == "a" for ch in word)]
+
+        def S(m):
+            return running[m + 1]
+
+        pos_a = [i for i, ch in enumerate(word) if ch == "a"]
+        pos_b = [i for i, ch in enumerate(word) if ch == "b"]
+        assert all(p == (n - 1) + S(n - 2) for n, p in enumerate(pos_a, 1))
+        assert all(p == (2 * n - 1) + S(n - 2) for n, p in enumerate(pos_b, 1))
         # the off-by-one index convention is refuted immediately
-        assert report.first_fail_shifted_a == 2
-        assert report.first_fail_shifted_b == 2
+        shifted_a = (n for n, p in enumerate(pos_a, 1) if p != n - 2 + S(n - 1))
+        shifted_b = (n for n, p in enumerate(pos_b, 1) if p != 2 * n - 2 + S(n - 1))
+        assert next(shifted_a) == 2
+        assert next(shifted_b) == 2
 
     def test_small_values(self):
         word = fixed_word_prefix(FIBONACCI, FIBONACCI_SEED, 30)

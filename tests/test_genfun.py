@@ -6,8 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from subgf import genfun
 from subgf.errors import (
-    CountMismatchError,
-    DegreeOverflowError,
     InsufficientDataError,
     InsufficientOccurrencesError,
     NoGrowingFixedPointError,
@@ -24,8 +22,6 @@ from subgf.genfun import (
     TruncatedSeries,
     char_prefix_poly,
     char_series,
-    concat_char,
-    concat_pos,
     difference_transform,
     position_prefix_poly,
     position_series,
@@ -34,7 +30,6 @@ from subgf.genfun import (
     recursive_pos_poly,
     series_verdict,
     summatory_transform,
-    weighted_series,
     _gaps,
     _occurrences,
     _scan_positions,
@@ -78,24 +73,9 @@ class TestSeries:
             0, 1, 0, 1, 0, 1, 0, 1,
         ]
 
-    def test_weighted_series(self, fib, fib_seed):
-        ones = weighted_series(fib, fib_seed, {"a": 1, "b": 1}, 300)
-        assert all(c == 1 for c in ones.coefficients)
-        indicator = weighted_series(fib, fib_seed, {"a": 1, "b": 0}, 50)
-        assert indicator.coefficients == char_series(fib, fib_seed, "a", 50).coefficients
-        combo = weighted_series(fib, fib_seed, {"a": 2, "b": -1}, 4)
-        assert list(combo.coefficients) == [2, -1, 2, 2, -1]
-
-    def test_weighted_series_requires_full_support(self, fib, fib_seed):
-        with pytest.raises(ValueError):
-            weighted_series(fib, fib_seed, {"a": 1}, 10)
-
     def test_negative_order_raises(self, fib, fib_seed):
         with pytest.raises(ValueError):
             char_series(fib, fib_seed, "a", -1)
-        with pytest.raises(ValueError):
-            weighted_series(fib, fib_seed, {"a": 1, "b": 2}, -1)
-        assert weighted_series(fib, fib_seed, {"a": 1, "b": 2}, 0).coefficients == (1,)
 
     def test_sum_identity(self, corpus):
         from subgf.substitutions import fixed_point_seed
@@ -190,58 +170,6 @@ def _check_positions(s, seed, letter, n_terms, bound):
             f"found only {len(hits)} of {n_terms} occurrences of "
             f"{letter!r} within {bound} letters"
         )
-
-
-class TestConcatLaws:
-    def test_concat_char_examples(self):
-        cu, cv = P([1, 0, 1, 1]), P([1, 0, 1])
-        assert concat_char(cu, cv, 5) == P.from_exponents([0, 2, 3, 5, 7])
-        assert concat_char(P.zero(), cv, 3) == cv.shift(3)
-        assert concat_char(cu, P.zero(), 5) == cu
-        with pytest.raises(DegreeOverflowError):
-            concat_char(cu, cv, 3)
-
-    def test_concat_pos_examples(self):
-        pu = position_prefix_poly("ab", "a")
-        pv = position_prefix_poly("a", "a")
-        assert concat_pos(pu, pv, 2, 1, 1) == P([0, 0, 2])
-        combined = concat_pos(
-            position_prefix_poly("abaab", "a"),
-            position_prefix_poly("aba", "a"),
-            5, 3, 2,
-        )
-        assert combined == position_prefix_poly("abaababa", "a")
-        assert concat_pos(pu, P.zero(), 2, 1, 0) == pu
-        with pytest.raises(CountMismatchError):
-            concat_pos(P([0, 5, 7]), pv, 2, 1, 1)
-
-    @given(
-        st.text(alphabet="ab", max_size=14),
-        st.text(alphabet="ab", max_size=14),
-    )
-    @settings(max_examples=200)
-    def test_concat_pos_matches_brute_force(self, u, v):
-        for letter in "ab":
-            law = concat_pos(
-                position_prefix_poly(u, letter),
-                position_prefix_poly(v, letter),
-                len(u),
-                u.count(letter),
-                v.count(letter),
-            )
-            assert law == position_prefix_poly(u + v, letter)
-
-    @given(
-        st.text(alphabet="ab", max_size=14),
-        st.text(alphabet="ab", max_size=14),
-    )
-    @settings(max_examples=100)
-    def test_concat_char_matches_brute_force(self, u, v):
-        for letter in "ab":
-            law = concat_char(
-                char_prefix_poly(u, letter), char_prefix_poly(v, letter), len(u)
-            )
-            assert law == char_prefix_poly(u + v, letter)
 
 
 class TestRecursion:

@@ -226,11 +226,23 @@ def _random_polynomial(rng):
     return poly, roots
 
 
+def _rational(x):
+    return SympyRational(x.numerator, x.denominator)
+
+
+def _sympy_poly(poly):
+    return SympyPoly([_rational(c) for c in reversed(poly.coefficients)], _X)
+
+
 def _sympy_count(poly, a, b):
     """Distinct roots in (a, b]: sympy counts the closed [a, b]."""
-    rational = lambda x: SympyRational(x.numerator, x.denominator)  # noqa: E731
-    sp = SympyPoly([rational(c) for c in reversed(poly.coefficients)], _X)
-    return sp.count_roots(rational(a), rational(b)) - (poly(a) == 0)
+    return _sympy_poly(poly).count_roots(_rational(a), _rational(b)) - (poly(a) == 0)
+
+
+def _divide_out_root(poly, root):
+    """poly / (X - root) by sympy's exact division (`Poly.exquo`)."""
+    quotient = _sympy_poly(poly).exquo(_sympy_poly(P([-root, 1])))
+    return P([F(int(c.p), int(c.q)) for c in reversed(quotient.all_coeffs())])
 
 
 def _sturm_isolate_max_root(poly, lower, upper, eps):
@@ -242,7 +254,7 @@ def _sturm_isolate_max_root(poly, lower, upper, eps):
     while hi - lo > eps:
         mid = (lo + hi) / 2
         if chain.sign_at(mid) == 0:
-            deflated = sturm_chain(chain.square_free_part.exact_div(P([-mid, 1])))
+            deflated = sturm_chain(_divide_out_root(chain.square_free_part, mid))
             if deflated.count(mid, hi) >= 1:
                 lo = mid
             else:
@@ -312,7 +324,7 @@ def test_certify_positive_matches_sturm():
         part = sturm_chain(poly).square_free_part
         for end in (a, b):
             if part(end) == 0:
-                part = part.exact_div(P([-end, 1]))
+                part = _divide_out_root(part, end)
         inside = sturm_chain(part).count(a, b)
         try:
             cert = certify_positive(poly, a, b)

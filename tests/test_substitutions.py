@@ -127,9 +127,9 @@ class TestPrimitivity:
         for m in mats:
             w = is_primitive(m)
             assert w is not None
-            assert m.power(w).is_positive()
+            assert all(x > 0 for row in m.power(w).rows for x in row)
             for e in range(1, w):
-                assert not m.power(e).is_positive()
+                assert not all(x > 0 for row in m.power(e).rows for x in row)
 
 
 class TestPFData:
