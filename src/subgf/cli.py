@@ -29,7 +29,6 @@ from .serialize import (
     canonical_dumps,
     certificate_json,
     exact_str,
-    frac_str,
     poly_json,
     quadratic_json,
     rational_form_json,
@@ -63,12 +62,11 @@ def _load(path: str):
 
 def _write_csv(header: str, *columns) -> None:
     """Print the header and one row per index, the index column first and
-    then one value of each column, each "%s"-formatted (for an int or a
-    Fraction that is `frac_str`).  Each chunk of CSV_CHUNK_ROWS rows is one
-    %-format and one write: a write per row is slow, and one write holds the
-    whole output in memory.  The rows are flattened as zip makes them, so
-    zip reuses one row tuple and no chunk of row objects reaches the
-    garbage collector."""
+    then one value of each column, each "%s"-formatted (its `str`).  Each
+    chunk of CSV_CHUNK_ROWS rows is one %-format and one write: a write per
+    row is slow, and one write holds the whole output in memory.  The rows
+    are flattened as zip makes them, so zip reuses one row tuple and no
+    chunk of row objects reaches the garbage collector."""
     rows = zip(count(), *columns)
     width = len(columns) + 1
     row_fmt = "%d" + ",%s" * len(columns) + "\n"
@@ -107,8 +105,8 @@ def _analyze(args) -> int:
             "min_poly": poly_json(data.min_poly_of_pf),
             "is_rational": data.is_rational,
             "enclosure": {
-                "lower": frac_str(data.pf_lower),
-                "upper": frac_str(data.pf_upper),
+                "lower": str(data.pf_lower),
+                "upper": str(data.pf_upper),
             },
         }
         report["aperiodicity"] = aperiodicity_json(analysis.verdict)
@@ -210,11 +208,11 @@ def _roots(args) -> int:
     bound = fib.positivity_bound(args.level, args.tol)
     payload = {
         "level": bound.level,
-        "tolerance": frac_str(args.tol),
-        "alpha_hat": frac_str(bound.alpha_hat),
+        "tolerance": str(args.tol),
+        "alpha_hat": str(bound.alpha_hat),
         "alpha_hat_decimal": value_decimal(bound.alpha_hat, 12),
         "binding": bound.binding,
-        "bracket": [frac_str(bound.bracket[0]), frac_str(bound.bracket[1])],
+        "bracket": [str(bound.bracket[0]), str(bound.bracket[1])],
         "certs": [
             {"polynomial": label, **certificate_json(cert)}
             for label, cert in sorted(bound.certificates.items())

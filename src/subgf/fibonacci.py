@@ -156,9 +156,7 @@ def verify_decomposition(n: int, order: int) -> bool:
     if offset <= order:
         return False  # ran out of blocks, scan bound too small
     target = char_series(FIBONACCI, FIBONACCI_SEED, "a", order)
-    return all(
-        Fraction(c) == t for c, t in zip(coeffs, target.coefficients)
-    )
+    return coeffs == list(target.coefficients)
 
 
 @dataclass(frozen=True)

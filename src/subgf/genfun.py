@@ -6,8 +6,8 @@ Series, positions and verdicts read the prefix, PF data, witnesses and the
 aperiodicity verdict from a `substitutions.Analysis`, which derives each once;
 the public `(s, seed)` forms build a fresh one.
 
-Everything here is exact: integer series stay integers, certificates are
-rationals, and there is no floating point.
+Everything here is exact: series are integer sequences, certificate
+numerators are integer polynomials, and there is no floating point.
 """
 from __future__ import annotations
 
@@ -234,7 +234,8 @@ def summatory_transform(ts: TruncatedSeries) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class RationalForm:
-    """numerator / ((1 - X**period) * (1 - X)**summatory_power).
+    """numerator / ((1 - X**period) * (1 - X)**summatory_power), the
+    generating function of an integer sequence.
 
     summatory_power is 0 for eventually periodic coefficient sequences; the
     position pipeline sets it to 1 after undoing one differencing step.
@@ -256,7 +257,8 @@ class RationalForm:
 
 
 def rational_form_from_witness(coeffs, witness: PeriodWitness) -> RationalForm:
-    """Certificate numerator/(1 - X**d) built from a verified witness: the
+    """Certificate numerator/(1 - X**d) of an integer sequence (0/1 letter
+    indicators or integer gaps) built from a verified witness: the
     preperiodic head times (1 - X**d) plus the shifted period block."""
     seq = list(coeffs)
     n0, d = witness.preperiod, witness.period

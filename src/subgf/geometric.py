@@ -46,10 +46,9 @@ def pf_as_quadratic(data: PFData) -> Optional[QuadraticReal]:
         return None
     b, c = poly.coefficient(1), poly.coefficient(0)
     disc = b * b - 4 * c
-    inner = disc.numerator * disc.denominator
-    m, d = _square_free_split(inner)
+    m, d = _square_free_split(disc)
     # the dominant eigenvalue is the larger root, so the surd term is +
-    return QuadraticReal(Fraction(-b, 2), Fraction(m, 2 * disc.denominator), d)
+    return QuadraticReal(Fraction(-b, 2), Fraction(m, 2), d)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Dense univariate polynomials with exact rational coefficients, and the
-kernel of integer coefficient lists that `factoring` and `realroots` share.
+"""Dense univariate polynomials with integer coefficients, and the kernel of
+integer coefficient lists that `factoring` and `realroots` share.
 
-`ExactPolynomial` stores its coefficients constant-term first, each as an
-`int` when it is integral and as a `Fraction` only otherwise, so integer
-polynomials run on integer arithmetic.  The zero polynomial has degree -1;
-every nonzero polynomial has a nonzero trailing coefficient.
+`ExactPolynomial` stores its coefficients constant-term first as `int`s;
+anything that is not an integer (a `Fraction`, even an integral one, a `str`
+or a `float`) is refused with TypeError.  Values at rational points are exact
+rationals.  The zero polynomial has degree -1; every nonzero polynomial has a
+nonzero trailing coefficient.
 
 The kernel works on plain lists in the same order: trailing zeros stripped
 (`_strip`), content divided out (`_primitive`), exact division
@@ -13,8 +14,9 @@ at a rational point (`_sign_at`).
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def _frac(x) -> Fraction:
@@ -106,19 +108,11 @@ def _point_data(x: Fraction, dmax: int):
     return num, None, dp
 
 
-def _coefficient(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = _frac(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class ExactPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        self._coeffs = tuple(_strip([_coefficient(c) for c in coeffs]))
+        self._coeffs = tuple(_strip(list(map(operator.index, coeffs))))
 
     @classmethod
     def zero(cls) -> ExactPolynomial:
@@ -140,7 +134,7 @@ class ExactPolynomial:
         return cls(cs)
 
     @property
-    def coefficients(self) -> tuple[int | Fraction, ...]:
+    def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
 
     @property
@@ -152,12 +146,12 @@ class ExactPolynomial:
         return not self._coeffs
 
     @property
-    def leading_coefficient(self) -> int | Fraction:
+    def leading_coefficient(self) -> int:
         if not self._coeffs:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
         return self._coeffs[-1]
 
-    def coefficient(self, i: int) -> int | Fraction:
+    def coefficient(self, i: int) -> int:
         if 0 <= i < len(self._coeffs):
             return self._coeffs[i]
         return 0
@@ -168,7 +162,7 @@ class ExactPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactPolynomial):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == ExactPolynomial((other,))
         return NotImplemented
 
@@ -202,9 +196,8 @@ class ExactPolynomial:
         return (-self) + other
 
     def __mul__(self, other) -> ExactPolynomial:
-        if isinstance(other, (int, Fraction)):
-            c = _coefficient(other)
-            return ExactPolynomial([c * x for x in self._coeffs])
+        if isinstance(other, int):
+            return ExactPolynomial([other * x for x in self._coeffs])
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         return ExactPolynomial(_convolve(self._coeffs, other._coeffs))
@@ -227,18 +220,8 @@ class ExactPolynomial:
         return acc
 
     def sign_at(self, x) -> int:
-        """Exact sign of the value at a rational point, computed in integers:
-        a positive multiple of self has the integer coefficients."""
-        ints, _ = self.integer_coefficients()
-        return _sign_at(ints, *_point_data(_frac(x), self.degree))
-
-    def integer_coefficients(self) -> tuple[list[int], int]:
-        """Return (ints, den) with den > 0 and den * self having the listed
-        integer coefficients."""
-        if all(type(c) is int for c in self._coeffs):
-            return list(self._coeffs), 1
-        den = lcm(*(c.denominator for c in self._coeffs))
-        return [c.numerator * (den // c.denominator) for c in self._coeffs], den
+        """Exact sign of the value at a rational point, computed in integers."""
+        return _sign_at(self._coeffs, *_point_data(_frac(x), self.degree))
 
     def to_string(self, var: str = "X") -> str:
         if not self._coeffs:
@@ -264,7 +247,7 @@ class ExactPolynomial:
     def _coerce(self, other):
         if isinstance(other, ExactPolynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return ExactPolynomial((other,))
         return NotImplemented
 

@@ -167,6 +167,11 @@ class QuadraticReal:
         return _sign(self._p * c - p * self._c, self._q * c - q * self._c, d)
 
     def __eq__(self, other):
+        # 1, sqrt(d) and sqrt(e) are independent over Q: irrationals with
+        # different radicands differ, where arithmetic refuses to mix them
+        if isinstance(other, QuadraticReal) and self._q and other._q:
+            if other.d != self.d:
+                return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented

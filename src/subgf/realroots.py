@@ -126,8 +126,7 @@ class RootIsolator:
             raise ZeroPolynomialError("cannot isolate the roots of 0")
         self.polynomial = polynomial
         if _part is None:
-            ints, _ = polynomial.integer_coefficients()
-            _part = _primitive(ints)
+            _part = _primitive(list(polynomial.coefficients))
         self._cs = _part
         self._is_square_free = _is_square_free
         self._signs: dict[Fraction, int] = {}

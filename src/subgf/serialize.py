@@ -7,7 +7,6 @@ parse -> dump round-trips are byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import gcd
 
 from .genfun import RationalForm, Rational, TranscendentalByAperiodicity
@@ -20,10 +19,6 @@ from .substitutions import (
     EventuallyPeriodic,
     InconclusiveUpTo,
 )
-
-
-def frac_str(x) -> str:
-    return str(x) if type(x) is int else str(Fraction(x))
 
 
 def _ratio_str(n: int, c: int) -> str:
@@ -57,19 +52,19 @@ def value_decimal(x, digits: int = 50) -> str:
 def quadratic_json(x) -> dict:
     if isinstance(x, QuadraticReal):
         return {
-            "a": frac_str(x.a),
-            "b": frac_str(x.b),
+            "a": str(x.a),
+            "b": str(x.b),
             "D": x.d if not x.is_rational else None,
         }
-    return {"a": frac_str(x), "b": "0", "D": None}
+    return {"a": str(x), "b": "0", "D": None}
 
 
 def poly_json(p: ExactPolynomial) -> list[str]:
-    return [frac_str(c) for c in p.coefficients]
+    return list(map(str, p.coefficients))
 
 
 def series_json(order: int, coefficients) -> dict:
-    return {"order": order, "coefficients": [frac_str(c) for c in coefficients]}
+    return {"order": order, "coefficients": list(map(str, coefficients))}
 
 
 def rational_form_json(form: RationalForm) -> dict:
@@ -123,9 +118,9 @@ def certificate_json(cert: ExclusionCertificate) -> dict:
     return {
         "degree": cert.poly_degree,
         "sha256": cert.poly_sha256,
-        "interval": [frac_str(cert.lower), frac_str(cert.upper)],
+        "interval": [str(cert.lower), str(cert.upper)],
         "root_count_in_interval": cert.root_count_in_interval,
-        "sample_point": frac_str(cert.sample_point),
+        "sample_point": str(cert.sample_point),
         "sign_at_sample": cert.sample_sign,
     }
 

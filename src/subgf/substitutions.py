@@ -107,15 +107,6 @@ class Substitution:
             word = self.apply(word)
         return word
 
-    def power(self, m: int) -> Substitution:
-        """The substitution whose images are the m-fold images of this one."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        return Substitution(
-            self.alphabet,
-            tuple(self.apply_power(letter, m) for letter in self.alphabet),
-        )
-
     def image_lengths(self, m: int) -> dict[str, int]:
         """|sigma^m(letter)| for every letter, via length vectors (no words
         are expanded)."""
@@ -125,9 +116,6 @@ class Substitution:
                 a: sum(lengths[b] for b in self.image(a)) for a in self.alphabet
             }
         return lengths
-
-    def __str__(self):
-        return "\n".join(f"{a} -> {img}" for a, img in zip(self.alphabet, self.images))
 
 
 def parse_substitution(text: str) -> Substitution:
@@ -204,25 +192,6 @@ class SubstitutionMatrix:
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
-
-    def __mul__(self, other: SubstitutionMatrix) -> SubstitutionMatrix:
-        k = self.k
-        out = tuple(
-            tuple(
-                sum(self.rows[i][t] * other.rows[t][j] for t in range(k))
-                for j in range(k)
-            )
-            for i in range(k)
-        )
-        return SubstitutionMatrix(out)
-
-    def power(self, m: int) -> SubstitutionMatrix:
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(m - 1):
-            out = out * self
-        return out
 
 
 def substitution_matrix(s: Substitution) -> SubstitutionMatrix:

@@ -42,8 +42,7 @@ class SturmChain:
         if polynomial.is_zero:
             raise ZeroPolynomialError("cannot build a Sturm chain of 0")
         self.polynomial = polynomial
-        ints, _ = polynomial.integer_coefficients()
-        work = _primitive(ints)
+        work = _primitive(list(polynomial.coefficients))
         while True:
             chain = _build_chain(work)
             if len(chain) == 1 or len(chain[-1]) == 1:

@@ -503,9 +503,9 @@ class TestRationalForm:
         assert form.numerator == P([1]) and form.period == 1
 
     def test_preperiodic_form(self):
-        seq = [5, F(1, 2), 3, 3, 3, 3, 3, 3, 3, 3]
+        seq = [5, -2, 3, 3, 3, 3, 3, 3, 3, 3]
         form = rational_form_from_witness(seq, PeriodWitness(2, 1))
-        assert form.expand(9).coefficients == tuple(F(c) for c in seq)
+        assert form.expand(9).coefficients == tuple(seq)
 
     def test_invalid_witness(self):
         with pytest.raises(WitnessInvalidError):

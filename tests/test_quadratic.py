@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from math import isqrt
@@ -46,6 +47,17 @@ def test_mixed_radicand_rules():
     assert r + s == Q(F(7, 3) + 1, 1, 2)
     with pytest.raises(ValueError):
         Q(0, 1, 5) + Q(0, 1, 2)
+    # 1, sqrt(d) and sqrt(e) are independent over Q: equality is decided
+    assert Q(0, 1, 5) != Q(0, 1, 2)
+    assert not Q(0, 1, 5) == Q(0, 1, 2)
+    assert Q(1, 1, 2) not in [Q(1, 1, 3)]
+    assert Q(1, 1, 2) in [Q(1, 1, 3), Q(1, 1, 2)]
+    assert r != s and s != Q(F(7, 3), 0, 2)
+    # arithmetic and ordering still refuse mixed radicands
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(ValueError):
+            op(Q(1, 1, 5), Q(1, 1, 2))
 
 
 def test_sign_cases():

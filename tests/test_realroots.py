@@ -33,8 +33,8 @@ def proportional(p, q):
     """q is a positive rational multiple of p."""
     if p.degree != q.degree:
         return False
-    ratio = F(q.leading_coefficient, p.leading_coefficient)
-    return ratio > 0 and q == p * ratio
+    a, b = p.leading_coefficient, q.leading_coefficient
+    return a * b > 0 and q * a == p * b
 
 
 def test_textbook_chain_up_to_positive_scaling():
@@ -144,7 +144,7 @@ def test_count_matches_known_roots_on_random_polynomials():
         roots = sorted(rng.sample(pool, 5))
         poly = P([1])
         for r in roots:
-            poly = poly * P([-r, 1])
+            poly = poly * P([-r.numerator, r.denominator])
         if rng.random() < 0.5:
             poly = poly * P([1, 0, 1])  # irreducible factor, no real roots
         chain = sturm_chain(poly)
@@ -176,7 +176,7 @@ def test_count_matches_grid_sign_scan():
         roots = rng.sample([F(n, 3) for n in range(-36, 37)], rng.randint(2, 10))
         poly = P([1])
         for r in roots:
-            poly = poly * P([-r, 1])
+            poly = poly * P([-r.numerator, r.denominator])
         if rng.random() < 0.5:
             poly = poly * P([1, 0, 1])
         chain = sturm_chain(poly)
@@ -240,9 +240,13 @@ def _sympy_count(poly, a, b):
 
 
 def _divide_out_root(poly, root):
-    """poly / (X - root) by sympy's exact division (`Poly.exquo`)."""
-    quotient = _sympy_poly(poly).exquo(_sympy_poly(P([-root, 1])))
-    return P([F(int(c.p), int(c.q)) for c in reversed(quotient.all_coeffs())])
+    """poly / (den*X - num) for root = num/den, by sympy's exact division
+    (`Poly.exquo`); the divisor is primitive, so by Gauss's lemma the
+    quotient of an integer polynomial has integer coefficients."""
+    root = F(root)
+    divisor = P([-root.numerator, root.denominator])
+    quotient = _sympy_poly(poly).exquo(_sympy_poly(divisor))
+    return P(reversed(quotient.all_coeffs()))
 
 
 def _sturm_isolate_max_root(poly, lower, upper, eps):
