@@ -1,6 +1,6 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 parse error (rule text or command line), 2
+Exit codes: 0 success, 1 parse error (rule text, rule file or command line), 2
 precondition violation, 3 inconclusive verdict under --strict.
 """
 from __future__ import annotations
@@ -359,14 +359,13 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
         return args.run(args)
-    except RuleSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (RuleSyntaxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SubgfError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

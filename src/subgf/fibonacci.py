@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 
 from .errors import NoRootInIntervalError, TooLargeError
 from .genfun import _level_table, char_series
@@ -21,15 +21,12 @@ from .realroots import (
     _root_free_certificate,
     isolate_max_root,
 )
-from .substitutions import (
-    FixedPointSeed,
-    Substitution,
-    fixed_point_seed,
-    fixed_word,
-)
+from .substitutions import FixedPointSeed, Substitution, fixed_word_prefix
 
 FIBONACCI = Substitution.from_rules({"a": "ab", "b": "a"})
 FIBONACCI_SEED = FixedPointSeed(1, "a")
+# labels of the pairs at even offsets of the fixed word (bb never occurs)
+PAIR_LABELS = {"ab": "R", "aa": "S", "ba": "T"}
 
 MAX_SUPERTILE_LEVEL = 40
 # pair polynomials grow like (2+sqrt(5))**n: degrees ~3e3 at level 5 and
@@ -42,14 +39,6 @@ MAX_PAIR_LEVEL = 5
 # A tolerance of 1 or more stops at the bracket (-1, 0], alpha_hat = 0, and
 # would certify the empty (0, 0)
 MIN_TOLERANCE = Fraction(1, 10**30)
-
-
-def fibonacci_numbers(count: int) -> list[int]:
-    """f_1 = f_2 = 1, one-indexed: returns [f_1, ..., f_count]."""
-    out = [1, 1]
-    while len(out) < count:
-        out.append(out[-1] + out[-2])
-    return out[:count]
 
 
 def supertile_word(n: int, which: str = "A") -> str:
@@ -84,79 +73,69 @@ class SupertilePolys:
     def by_label(self) -> dict[str, ExactPolynomial]:
         return {"R": self.poly_r, "S": self.poly_s, "T": self.poly_t}
 
-    def lengths_by_label(self) -> dict[str, int]:
-        return {"R": self.len_r, "S": self.len_s, "T": self.len_t}
+
+def _pair_code(s: Substitution, m: int, first: str) -> dict[str, list[str]]:
+    """The substitution induced on the pairs at even offsets of s's fixed
+    word x: each pair uv maps to the pairs of sigma**m(uv), closed from x's
+    first pair `first`.  Precondition: every |sigma**m(letter)| is odd, so
+    each sigma**m(uv) has even length and the blocks sigma**(m*n)(uv) follow
+    the pairs of x = sigma**(m*n)(x)."""
+    code: dict[str, list[str]] = {}
+    todo = [first]
+    while todo:
+        pair = todo.pop(0)
+        if pair not in code:
+            word = s.apply_power(pair, m)
+            code[pair] = [word[i : i + 2] for i in range(0, len(word), 2)]
+            todo += code[pair]
+    return code
 
 
-def supertile_lengths(n: int) -> tuple[int, int, int]:
-    """(|R_n|, |S_n|, |T_n|) = (f_{3n+3}, 2*f_{3n+2}, f_{3n+3})."""
-    if n < 1:
-        raise ValueError("pair level must be >= 1")
-    fib = fibonacci_numbers(3 * n + 4)
-    return fib[3 * n + 2], 2 * fib[3 * n + 1], fib[3 * n + 2]
-
-
-def pair_polynomials(n: int) -> SupertilePolys:
-    """Pair polynomials at level n: the level-1 blocks sigma**3(ab),
-    sigma**3(aa) and sigma**3(ba) carried n - 1 levels by the induced
-    substitution's block recursion
-
-        R' = R S T T,   S' = R' R,   T' = R S T R
-
-    (`genfun._level_table`), so words are never expanded beyond level 1."""
+def _pair_lists(n: int) -> list[list[int]]:
+    """Indicator lists of a over the level-n pair blocks R, S, T: each
+    pair's own list carried n levels by the pair code of sigma**3
+    (`genfun._level_table`), so no word is expanded beyond sigma**3 of a
+    pair."""
     if n < 1:
         raise ValueError("pair level must be >= 1")
     if n > MAX_PAIR_LEVEL:
         raise TooLargeError(
             f"pair level {n} exceeds the supported range {MAX_PAIR_LEVEL}"
         )
-    base = {
-        block: [int(ch == "a") for ch in FIBONACCI.apply_power(pair, 3)]
-        for block, pair in zip("rst", ("ab", "aa", "ba"))
-    }
-    lists = _level_table(induced_three_letter_substitution(), base, n - 1)
-    return SupertilePolys(
-        n,
-        *(ExactPolynomial(lists[b]) for b in "rst"),
-        *(len(lists[b]) for b in "rst"),
-    )
+    code = _pair_code(FIBONACCI, 3, "ab")
+    base = {pair: [int(ch == "a") for ch in pair] for pair in code}
+    lists = _level_table(code, base, n)
+    return [lists[pair] for pair in PAIR_LABELS]
 
 
-def induced_three_letter_substitution() -> Substitution:
-    """Block-level substitution induced by the pair decomposition."""
-    return Substitution.from_rules({"r": "rstt", "s": "rsttr", "t": "rstr"})
+def pair_polynomials(n: int) -> SupertilePolys:
+    """Pair polynomials at level n, over the blocks sigma**(3n) of ab, aa
+    and ba (`_pair_lists`)."""
+    lists = _pair_lists(n)
+    return SupertilePolys(n, *map(ExactPolynomial, lists), *map(len, lists))
 
 
-def block_sequence(limit: int):
-    """First `limit` pair-block labels of the fixed word, as 'R'/'S'/'T'."""
-    induced = induced_three_letter_substitution()
-    seed = fixed_point_seed(induced)
-    return [ch.upper() for ch in islice(fixed_word(induced, seed), limit)]
+def block_sequence(limit: int) -> list[str]:
+    """First `limit` pair-block labels of the fixed word, as 'R'/'S'/'T':
+    the labels of its own first `limit` pairs."""
+    word = fixed_word_prefix(FIBONACCI, FIBONACCI_SEED, 2 * limit)
+    return [PAIR_LABELS[word[i : i + 2]] for i in range(0, 2 * limit, 2)]
 
 
 def verify_decomposition(n: int, order: int) -> bool:
     """Check that the N-truncation of the letter-a series is reproduced by
-    laying the level-n blocks along the induced block sequence, with every
-    block offset even."""
-    polys = pair_polynomials(n)
-    table = polys.by_label()
-    lengths = polys.lengths_by_label()
-    coeffs = [0] * (order + 1)
-    offset = 0
-    blocks_needed = order // min(lengths.values()) + 2
-    for label in block_sequence(blocks_needed):
-        if offset > order:
-            break
-        if offset % 2:
-            return False
-        for e, c in enumerate(table[label].coefficients):
-            if c and offset + e <= order:
-                coeffs[offset + e] = 1
-        offset += lengths[label]
-    if offset <= order:
-        return False  # ran out of blocks, scan bound too small
+    laying the level-n blocks along the block sequence, with every block
+    offset even: every block has even length."""
+    lists = _pair_lists(n)
+    if any(len(block) % 2 for block in lists):
+        return False
+    table = dict(zip(PAIR_LABELS.values(), lists))
+    labels = block_sequence(order // min(map(len, lists)) + 1)
+    coeffs = list(chain.from_iterable(table[label] for label in labels))
+    if len(coeffs) <= order:
+        return False  # ran out of blocks
     target = char_series(FIBONACCI, FIBONACCI_SEED, "a", order)
-    return coeffs == list(target.coefficients)
+    return coeffs[: order + 1] == list(target.coefficients)
 
 
 @dataclass(frozen=True)

@@ -170,16 +170,16 @@ def _gaps(ones: bytes, n_terms: int) -> Union[bytes, list]:
     return [0, *runs[:1], *(r + 1 for r in runs[1:])]
 
 
-def _level_table(s: Substitution, table: dict, level: int) -> dict[str, list]:
-    """Dense coefficient lists over sigma**level of every letter, from the
-    lists `table` over each letter's block: the one block recursion.  A
-    letter's list is the concatenation of the lists of its image, so for
-    indicator lists C(uv) = C(u) + X**|u| * C(v), and a list's length is its
-    block length."""
+def _level_table(images: dict, table: dict, level: int) -> dict:
+    """Dense coefficient lists over `level` steps of the block code `images`
+    (each block's image sequence of blocks), from the lists `table` over each
+    block: the one block recursion.  A block's list is the concatenation of
+    the lists of its image, so for indicator lists C(uv) = C(u) + X**|u| *
+    C(v), and a list's length is its block length."""
     for _ in range(level):
         table = {
-            a: list(chain.from_iterable(table[b] for b in s.image(a)))
-            for a in s.alphabet
+            a: list(chain.from_iterable(table[b] for b in image))
+            for a, image in images.items()
         }
     return table
 
@@ -192,7 +192,7 @@ def _indicator_list(s: Substitution, target: str, source: str, level: int) -> li
         if letter not in s.alphabet:
             raise KeyError(f"letter {letter!r} not in alphabet")
     base = {a: [int(a == target)] for a in s.alphabet}
-    return _level_table(s, base, level)[source]
+    return _level_table(s.rules, base, level)[source]
 
 
 def recursive_char_poly(

@@ -132,7 +132,7 @@ def parse_substitution(text: str) -> Substitution:
             continue
         if "->" not in line:
             raise RuleSyntaxError("expected '<letter> -> <image>'", lineno, 1)
-        left, right = line.split("->", 2)[:2]
+        left, right = line.split("->", 1)
         lhs = left.strip()
         lhs_col = len(left) - len(left.lstrip()) + 1
         if len(lhs) != 1 or not _LETTER.fullmatch(lhs):

@@ -616,6 +616,23 @@ class TestErrors:
         assert code == 1
         assert "line 1" in err
 
+    def test_directory_is_a_parse_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sub"
+        bad.write_bytes(b"a -> \xff\n")
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_letter_message_has_no_quotes(self, capsys):
+        code, _, err = run(capsys, "series", str(DATA / "fib.sub"), "--letter", "c")
+        assert code == 2
+        assert err == "error: letter 'c' not in alphabet\n"
+
     def test_bad_cli_usage(self, capsys):
         code, _, _ = run(capsys, "series", str(DATA / "fib.sub"))
         assert code == 1  # --letter is required

@@ -3,21 +3,21 @@ from itertools import accumulate
 
 import pytest
 
+from subgf import fibonacci
 from subgf.errors import TooLargeError
 from subgf.fibonacci import (
     FIBONACCI,
     FIBONACCI_SEED,
     MIN_TOLERANCE,
+    PAIR_LABELS,
+    _pair_code,
     block_sequence,
-    fibonacci_numbers,
-    induced_three_letter_substitution,
     pair_polynomials,
     positivity_bound,
-    supertile_lengths,
     supertile_word,
     verify_decomposition,
 )
-from subgf.genfun import char_prefix_poly
+from subgf.genfun import char_prefix_poly, char_series
 from subgf.geometric import pf_as_quadratic
 from subgf.polynomials import ExactPolynomial as P
 from subgf.quadratic import QuadraticReal as Q
@@ -28,6 +28,11 @@ from subgf.substitutions import (
     pf_data,
     substitution_matrix,
 )
+
+# FIB[k] is the Fibonacci number f_{k+1}, with f_1 = f_2 = 1
+FIB = [1, 1]
+while len(FIB) < 40:
+    FIB.append(FIB[-1] + FIB[-2])
 
 
 def brute_polys(n):
@@ -53,14 +58,6 @@ class TestSupertiles:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             supertile_word(41)
-
-    def test_length_identities(self):
-        fib = fibonacci_numbers(40)
-        for n in range(1, 9):
-            len_r, len_s, len_t = supertile_lengths(n)
-            assert len_r == fib[3 * n + 2] == len_t
-            assert len_s == 2 * fib[3 * n + 1]
-            assert len_r % 2 == len_s % 2 == len_t % 2 == 0
 
 
 class TestPairPolynomials:
@@ -88,10 +85,9 @@ class TestPairPolynomials:
 
     def test_s_splits_off_a_shifted_r(self):
         # S at level n+1 is R at level n+1 followed by R at level n
-        fib = fibonacci_numbers(40)
         for n in range(1, 4):
             low, high = pair_polynomials(n), pair_polynomials(n + 1)
-            shift = 3 * fib[3 * n + 2] + 2 * fib[3 * n + 1]
+            shift = 3 * FIB[3 * n + 2] + 2 * FIB[3 * n + 1]
             assert high.poly_s == high.poly_r + low.poly_r.shift(shift)
 
     def test_level_four_degrees_from_word_expansion(self):
@@ -102,9 +98,12 @@ class TestPairPolynomials:
         )
 
     def test_lengths_are_supertile_lengths(self):
+        # (|R_n|, |S_n|, |T_n|) = (f_{3n+3}, 2 f_{3n+2}, f_{3n+3}), all even
         for n in range(1, 6):
             sp = pair_polynomials(n)
-            assert (sp.len_r, sp.len_s, sp.len_t) == supertile_lengths(n)
+            lengths = (sp.len_r, sp.len_s, sp.len_t)
+            assert lengths == (FIB[3 * n + 2], 2 * FIB[3 * n + 1], FIB[3 * n + 2])
+            assert all(length % 2 == 0 for length in lengths)
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
@@ -114,32 +113,42 @@ class TestPairPolynomials:
 
 
 class TestDecomposition:
-    def test_induced_substitution(self):
-        induced = induced_three_letter_substitution()
-        assert induced.rules == {"r": "rstt", "s": "rsttr", "t": "rstr"}
-        matrix = substitution_matrix(induced)
+    def test_induced_substitution(self, rst):
+        code = _pair_code(FIBONACCI, 3, "ab")
+        label = {pair: name.lower() for pair, name in PAIR_LABELS.items()}
+        relabelled = {
+            label[pair]: "".join(map(label.__getitem__, image))
+            for pair, image in code.items()
+        }
+        assert relabelled == rst.rules
+        matrix = substitution_matrix(rst)
         assert matrix.rows == ((1, 1, 2), (2, 1, 2), (2, 1, 1))
         lam = pf_as_quadratic(pf_data(matrix))
         assert lam == Q(2, 1, 5)
         tau = Q(F(1, 2), F(1, 2), 5)
         assert lam == tau**3
 
-    def test_induced_fixed_word(self):
-        induced = induced_three_letter_substitution()
-        seed = fixed_point_seed(induced)
-        assert fixed_word_prefix(induced, seed, 17) == "rsttrsttrrstrrstr"
+    def test_induced_fixed_word(self, rst):
+        seed = fixed_point_seed(rst)
+        assert fixed_word_prefix(rst, seed, 17) == "rsttrsttrrstrrstr"
 
-    def test_block_sequence_matches_letter_pairs(self):
-        word = fixed_word_prefix(FIBONACCI, FIBONACCI_SEED, 400)
-        pairs = [
-            {"ab": "R", "aa": "S", "ba": "T"}[word[i : i + 2]]
-            for i in range(0, 400, 2)
-        ]
-        assert block_sequence(200) == pairs
+    def test_block_sequence_matches_letter_pairs(self, rst):
+        # the block sequence is the fixed word of the induced substitution
+        word = fixed_word_prefix(rst, fixed_point_seed(rst), 200)
+        assert block_sequence(200) == list(word.upper())
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_decomposition(self, n):
         assert verify_decomposition(n, 2000)
+
+    def test_odd_block_length_fails_decomposition(self, monkeypatch):
+        # blocks that reproduce the series still fail when one has odd
+        # length, as its successor would start at an odd offset
+        coeffs = list(char_series(FIBONACCI, FIBONACCI_SEED, "a", 21).coefficients)
+        monkeypatch.setattr(fibonacci, "_pair_lists", lambda n: [coeffs] * 3)
+        assert verify_decomposition(1, 20)
+        monkeypatch.setattr(fibonacci, "_pair_lists", lambda n: [coeffs[:21]] * 3)
+        assert not verify_decomposition(1, 20)
 
 
 class TestPositionIdentities:
@@ -173,8 +182,6 @@ class TestPositionIdentities:
 def test_series_at_least_one_on_unit_interval():
     # 0/1 coefficients with constant term 1: any truncation is >= 1 on
     # [0, 1), and the tail is non-negative there
-    from subgf.genfun import char_series
-
     ts = char_series(FIBONACCI, FIBONACCI_SEED, "a", 3000)
     poly = P(ts.coefficients)
     for x in (F(0), F(1, 7), F(1, 2), F(9, 10), F(99, 100)):

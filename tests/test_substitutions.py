@@ -85,6 +85,15 @@ class TestParser:
             parse_substitution("a->a b")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, column", [
+        ("a -> ab -> zz\nb -> a", 8),
+        ("a->ab->\nb->a", 6),
+    ])
+    def test_second_arrow_rejected(self, text, column):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_substitution(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_empty_file(self):
         with pytest.raises(RuleSyntaxError):
             parse_substitution("# nothing here\n")
