@@ -59,6 +59,16 @@ class TestSupertiles:
         with pytest.raises(TooLargeError):
             supertile_word(41)
 
+    def test_length_identities(self):
+        # the blocks R, S, T of level n are AB, AA, BA of supertile level 3n
+        for n in range(1, 9):
+            len_a = len(supertile_word(3 * n))
+            len_b = len(supertile_word(3 * n, "B"))
+            len_r, len_s, len_t = len_a + len_b, 2 * len_a, len_b + len_a
+            assert len_r == FIB[3 * n + 2] == len_t
+            assert len_s == 2 * FIB[3 * n + 1]
+            assert len_r % 2 == len_s % 2 == len_t % 2 == 0
+
 
 class TestPairPolynomials:
     def test_level_one_displays(self):
