@@ -44,7 +44,6 @@ from .polynomials import ExactPolynomial
 from .quadratic import QuadraticReal
 from .realroots import ExclusionCertificate, certify_positive, isolate_max_root
 from .substitutions import (
-    Alphabet,
     Analysis,
     AperiodicByIrrationalPF,
     AperiodicityVerdict,
@@ -56,7 +55,6 @@ from .substitutions import (
     SubstitutionMatrix,
     aperiodicity_verdict,
     fixed_point_seed,
-    fixed_word,
     fixed_word_prefix,
     gap_bound,
     is_primitive,

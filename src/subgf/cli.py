@@ -1,11 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 parse error (rule text, rule file or command line), 2
-precondition violation, 3 inconclusive verdict under --strict.
+precondition violation, 3 inconclusive verdict under --strict.  A reader that
+closes the output pipe early ends the run quietly, with exit 0.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -14,7 +16,7 @@ from itertools import chain, count, islice, repeat
 
 from . import fibonacci as fib
 from . import geometric
-from .errors import RuleSyntaxError, SubgfError
+from .errors import RuleFileError, RuleSyntaxError, SubgfError
 from .genfun import (
     CHARACTERISTIC,
     POSITION,
@@ -56,8 +58,12 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _load(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return parse_substitution(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RuleFileError(exc) from None
+    return parse_substitution(text)
 
 
 def _write_csv(header: str, *columns) -> None:
@@ -85,7 +91,7 @@ def _analyze(args) -> int:
             "max_period": args.max_period,
         },
         "substitution": {
-            "alphabet": list(s.alphabet.letters),
+            "alphabet": list(s.alphabet),
             "rules": dict(s.rules),
         },
         "matrix": [list(row) for row in analysis.matrix.rows],
@@ -359,7 +365,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
         return args.run(args)
-    except (RuleSyntaxError, OSError, UnicodeDecodeError) as exc:
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (RuleSyntaxError, RuleFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SubgfError, ValueError, KeyError) as exc:

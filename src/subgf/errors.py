@@ -14,6 +14,10 @@ class RuleSyntaxError(SubgfError):
         self.column = column
 
 
+class RuleFileError(SubgfError):
+    """The rule file cannot be read, or is not UTF-8 text."""
+
+
 class EmptyImageError(RuleSyntaxError):
     pass
 

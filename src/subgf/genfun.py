@@ -30,7 +30,6 @@ from .substitutions import (
     FixedPointSeed,
     InconclusiveUpTo,
     Substitution,
-    _gap_bound,
     _zero_one,
 )
 
@@ -110,9 +109,8 @@ def _occurrences(analysis, letter, n_terms, scan_bound=None) -> bytes:
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     if scan_bound is None:
-        witness = analysis.primitivity_witness
-        if len(s.alphabet) >= 2 and witness is not None:
-            scan_bound = _gap_bound(s, witness) * (n_terms + 2)
+        if len(s.alphabet) >= 2 and analysis.primitivity_witness is not None:
+            scan_bound = analysis.gap_bound * (n_terms + 2)
         else:
             scan_bound = 4 * n_terms + 64
     end = max(0, min(n_terms, scan_bound))

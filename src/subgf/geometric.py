@@ -142,7 +142,7 @@ def _approximate_lengths(s, matrix) -> LengthAssignment:
         vec = [sum(vec[i] * matrix.rows[i][j] for i in range(k)) for j in range(k)]
     last = vec[-1]
     values = [Fraction(x, last) for x in vec]
-    return LengthAssignment(dict(zip(s.alphabet.letters, values)), exact=False)
+    return LengthAssignment(dict(zip(s.alphabet, values)), exact=False)
 
 
 def endpoint_sequence(
@@ -207,22 +207,6 @@ def _sums_ok(table: dict, prefix: str, ps: list, qs: list) -> bool:
     )
 
 
-def geometric_identity_ok(points: list, prefix: str, lengths) -> bool:
-    """Coefficientwise check that (1 - X) * G equals X * C_g on the
-    truncation: the endpoints of `prefix` start at 0 and their successive
-    differences are the tile lengths."""
-    table = _length_map(lengths)
-    c, d, _, _ = _scaled_lengths(table)
-    ps, qs = [], []
-    for x in points:
-        p, q, cx, dx = _int_form(x)
-        if c % cx or (q and dx != d):
-            return False  # off the lattice of sums of the lengths
-        ps.append(p * (c // cx))
-        qs.append(q * (c // cx))
-    return _sums_ok(table, prefix, ps, qs)
-
-
 @dataclass(frozen=True)
 class TwoLetterClassification:
     """Exactly one of: equal tile lengths (rational with an explicit closed
@@ -258,7 +242,7 @@ def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassificati
     if len(s.alphabet) != 2:
         raise WrongAlphabetSizeError("classification requires exactly two letters")
     table = _checked_lengths(s, lengths)
-    first, second = s.alphabet.letters
+    first, second = s.alphabet
     g1, g2 = table[first], table[second]
     if g1 == g2:
         # g1 - g2 = 0, so endpoint n is n * g1 whatever the counts
@@ -303,7 +287,7 @@ def _on_line(s: Substitution, table: dict, prefix: str, counts: list) -> bool:
     the integer sums ps and qs of `_endpoint_sums` with integers."""
     _, _, ps, qs = _endpoint_sums(s, table, prefix)
     _, _, p_of, q_of = _scaled_lengths(table)
-    first, second = s.alphabet.letters
+    first, second = s.alphabet
     for sums, of in ((ps, p_of), (qs, q_of)):
         diff, step = of[first] - of[second], of[second]
         if sums != [e * diff + n * step for n, e in enumerate(counts)]:

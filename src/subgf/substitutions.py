@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Iterator, Optional, Union
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Union
 
 from .errors import (
     DuplicateRuleError,
@@ -36,47 +36,22 @@ _LETTER = re.compile(r"[A-Za-z0-9]")
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Ordered distinct single-character symbols; the order fixes matrix
-    indexing."""
-
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("alphabet must contain at least one letter")
-        seen = set()
-        for ch in self.letters:
-            if len(ch) != 1 or not _LETTER.fullmatch(ch):
-                raise ValueError(f"invalid letter {ch!r}")
-            if ch in seen:
-                raise ValueError(f"duplicate letter {ch!r}")
-            seen.add(ch)
-
-    def index(self, letter: str) -> int:
-        try:
-            return self.letters.index(letter)
-        except ValueError:
-            raise KeyError(f"letter {letter!r} not in alphabet") from None
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __contains__(self, letter):
-        return letter in self.letters
-
-
-@dataclass(frozen=True)
 class Substitution:
-    """Map letter -> non-empty word, extended to words by concatenation."""
+    """Map letter -> non-empty word, extended to words by concatenation.
+    `alphabet` holds distinct single-character letters, in the order that
+    fixes matrix indexing; `images[i]` is the image of `alphabet[i]`."""
 
-    alphabet: Alphabet
+    alphabet: tuple[str, ...]
     images: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.alphabet:
+            raise ValueError("alphabet must contain at least one letter")
+        for i, ch in enumerate(self.alphabet):
+            if len(ch) != 1 or not _LETTER.fullmatch(ch):
+                raise ValueError(f"invalid letter {ch!r}")
+            if ch in self.alphabet[:i]:
+                raise ValueError(f"duplicate letter {ch!r}")
         if len(self.images) != len(self.alphabet):
             raise ValueError("one image per letter required")
         for letter, image in zip(self.alphabet, self.images):
@@ -88,23 +63,20 @@ class Substitution:
 
     @classmethod
     def from_rules(cls, rules: dict[str, str]) -> Substitution:
-        alphabet = Alphabet(tuple(rules))
-        return cls(alphabet, tuple(rules.values()))
+        return cls(tuple(rules), tuple(rules.values()))
 
-    @property
-    def rules(self) -> dict[str, str]:
-        return dict(zip(self.alphabet.letters, self.images))
+    @cached_property
+    def rules(self) -> Mapping[str, str]:
+        """letter -> image in alphabet order: the one rule table, built on
+        first use and shared read-only."""
+        return MappingProxyType(dict(zip(self.alphabet, self.images)))
 
-    def image(self, letter: str) -> str:
-        return self.images[self.alphabet.index(letter)]
-
-    def apply(self, word: str) -> str:
-        table = self.rules
-        return "".join(table[ch] for ch in word)
+    def __reduce__(self):  # the cached table is a mappingproxy, which cannot be pickled
+        return Substitution, (self.alphabet, self.images)
 
     def apply_power(self, word: str, m: int) -> str:
         for _ in range(m):
-            word = self.apply(word)
+            word = "".join(map(self.rules.__getitem__, word))
         return word
 
     def image_lengths(self, m: int) -> dict[str, int]:
@@ -113,7 +85,7 @@ class Substitution:
         lengths = {a: 1 for a in self.alphabet}
         for _ in range(m):
             lengths = {
-                a: sum(lengths[b] for b in self.image(a)) for a in self.alphabet
+                a: sum(lengths[b] for b in image) for a, image in self.rules.items()
             }
         return lengths
 
@@ -197,7 +169,7 @@ class SubstitutionMatrix:
 def substitution_matrix(s: Substitution) -> SubstitutionMatrix:
     return SubstitutionMatrix(
         tuple(
-            tuple(s.image(a).count(b) for b in s.alphabet) for a in s.alphabet
+            tuple(image.count(b) for b in s.alphabet) for image in s.images
         )
     )
 
@@ -324,13 +296,13 @@ def fixed_point_seed(
     if (_witness or is_primitive(substitution_matrix(s))) is None:
         raise NotPrimitiveError("substitution is not primitive")
     k = len(s.alphabet)
-    first = {a: s.image(a)[0] for a in s.alphabet}
+    first = {a: image[0] for a, image in s.rules.items()}
     lengths = {a: 1 for a in s.alphabet}
     heads = {a: a for a in s.alphabet}
     bound = k * ((k - 1) * k + 1)
     for power in range(1, bound + 1):
         heads = {a: first[heads[a]] for a in s.alphabet}
-        lengths = {a: sum(lengths[b] for b in s.image(a)) for a in s.alphabet}
+        lengths = {a: sum(lengths[b] for b in image) for a, image in s.rules.items()}
         for a in s.alphabet:
             if heads[a] == a and lengths[a] >= 2:
                 return FixedPointSeed(power, a)
@@ -340,13 +312,12 @@ def fixed_point_seed(
 _PIECE = 4096  # letters of B_k whose images make one piece of B_{k+1}
 
 
-def _blocks(s: Substitution, seed: FixedPointSeed) -> Iterator[str]:
-    """The fixed word in pieces: start_letter, then the blocks B_0 = u and
-    B_{k+1} = sigma^p(B_k), where sigma^p(start_letter) = start_letter + u.
-    Each block is yielded as the images of _PIECE letters of the one before,
-    so a reader overshoots by at most one such piece."""
-    p, a0 = seed.power, seed.start_letter
-    table = {a: s.apply_power(a, p) for a in s.alphabet}
+def _blocks(table: Mapping[str, str], a0: str) -> Iterator[str]:
+    """The fixed word in pieces, from `table`, sigma**p of every letter:
+    a0, then the blocks B_0 = u and B_{k+1} = sigma^p(B_k), where
+    sigma^p(a0) = a0 + u.  Each block is yielded as the images of _PIECE
+    letters of the one before, so a reader overshoots by at most one such
+    piece."""
     head = table[a0]
     if not head.startswith(a0) or len(head) < 2:
         raise ValueError("invalid seed for this substitution")
@@ -361,13 +332,6 @@ def _blocks(s: Substitution, seed: FixedPointSeed) -> Iterator[str]:
         block = "".join(pieces)
 
 
-def fixed_word(s: Substitution, seed: FixedPointSeed) -> Iterator[str]:
-    """Letters of the one-sided fixed word, streamed lazily from `_blocks`:
-    memory is proportional to the letters read plus one piece, and each
-    letter costs amortized O(1)."""
-    return chain.from_iterable(_blocks(s, seed))
-
-
 def fixed_word_prefix(s: Substitution, seed: FixedPointSeed, n: int) -> str:
     """`Analysis.prefix` on a fresh `Analysis(s, seed)`."""
     return Analysis(s, seed).prefix(n)
@@ -376,17 +340,12 @@ def fixed_word_prefix(s: Substitution, seed: FixedPointSeed, n: int) -> str:
 def gap_bound(s: Substitution) -> int:
     """Upper bound for the gap between successive copies of any letter in a
     fixed word: twice the longest image length at the primitivity witness."""
-    witness = is_primitive(substitution_matrix(s))
-    if witness is None:
+    analysis = Analysis(s)
+    if analysis.primitivity_witness is None:
         raise NotPrimitiveError("substitution is not primitive")
     if len(s.alphabet) < 2:
         raise WrongAlphabetSizeError("gap bound needs at least two letters")
-    return _gap_bound(s, witness)
-
-
-def _gap_bound(s: Substitution, witness: int) -> int:
-    """`gap_bound` for a primitive s with primitivity witness `witness`."""
-    return 2 * max(s.image_lengths(witness).values())
+    return analysis.gap_bound
 
 
 @dataclass(frozen=True)
@@ -476,6 +435,18 @@ class Analysis:
             return self._seed
         return fixed_point_seed(self.substitution, self.primitivity_witness)
 
+    @cached_property
+    def power_table(self) -> dict[str, str]:
+        """sigma**p of every letter, p the seed's power."""
+        s, p = self.substitution, self.seed.power
+        return {a: s.apply_power(a, p) for a in s.alphabet}
+
+    @cached_property
+    def gap_bound(self) -> int:
+        """`gap_bound` of a primitive substitution."""
+        lengths = self.substitution.image_lengths(self.primitivity_witness)
+        return 2 * max(lengths.values())
+
     def prefix(self, n: int) -> str:
         """The first n letters of the fixed word; resolves the seed even if n = 0."""
         if n < 0:
@@ -486,7 +457,7 @@ class Analysis:
             )
         seed = self.seed
         if len(self._word) < n:
-            self._pieces = self._pieces or _blocks(self.substitution, seed)
+            self._pieces = self._pieces or _blocks(self.power_table, seed.start_letter)
             parts, have = [self._word], len(self._word)
             for piece in self._pieces:
                 parts.append(piece)
@@ -499,22 +470,21 @@ class Analysis:
     @cached_property
     def extended_prefix(self) -> str:
         """sigma**power of the first `need` letters, up to MAX_EXTENDED_LETTERS."""
-        lengths = self.substitution.image_lengths(self.seed.power)
-        n = sum(map(lengths.__getitem__, self.prefix(self.need)))
+        base = self.prefix(self.need)
+        n = sum(base.count(a) * len(image) for a, image in self.power_table.items())
         try:
             return self.prefix(n)
         except TooLargeError as exc:
             raise TooLargeError(f"extended {exc}") from None
 
-    def indicator(self, letter: str) -> list[int]:
-        """0/1 sequence of the letter over the first `need` letters."""
-        return list(_zero_one(self.prefix(self.need), letter))
+    def indicator(self, letter: str) -> bytes:
+        """The letter's `_zero_one` bytes over the first `need` letters."""
+        return _zero_one(self.prefix(self.need), letter)
 
     def raw_witness(self, letter: str) -> Optional[PeriodWitness]:
-        """`detect_period` on the letter's 0/1 bytes over the base prefix."""
+        """`detect_period` on the letter's indicator over the base prefix."""
         if letter not in self._raw:
-            indicator = _zero_one(self.prefix(self.need), letter)
-            self._raw[letter] = detect_period(indicator, *self.bounds)
+            self._raw[letter] = detect_period(self.indicator(letter), *self.bounds)
         return self._raw[letter]
 
     @cached_property

@@ -329,6 +329,9 @@ class TestAnalyze:
         assert counts["is_primitive"] == 1
         assert counts["_blocks"] == 1
         assert counts["detect_period"] <= 2 * k + 1
+        # sigma**p and the gap bound: one length recurrence, one rule table
+        assert counts["image_lengths"] == 1
+        assert counts["MappingProxyType"] == 1
 
     @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
     def test_positions_built_only_for_witnesses(self, capsys, monkeypatch, name):
@@ -345,21 +348,24 @@ class TestAnalyze:
 def _count_facts(monkeypatch) -> dict:
     """Counters rebound around the fact-deriving functions, in every module
     alias made by `from .x import y` as well; `_blocks` counts fixed-word
-    streams."""
+    streams and `MappingProxyType` rule tables."""
     counts = {}
-    for module, attr in ((substitutions, "pf_data"),
-                         (substitutions, "characteristic_polynomial"),
-                         (substitutions, "is_primitive"),
-                         (substitutions, "_blocks"),
-                         (periodicity, "detect_period"),
-                         (genfun, "_scan_positions")):
+    for owner, attr in ((substitutions, "pf_data"),
+                        (substitutions, "characteristic_polynomial"),
+                        (substitutions, "is_primitive"),
+                        (substitutions, "_blocks"),
+                        (substitutions, "MappingProxyType"),
+                        (substitutions.Substitution, "image_lengths"),
+                        (periodicity, "detect_period"),
+                        (genfun, "_scan_positions")):
         counts[attr] = 0
-        original = getattr(module, attr)
+        original = getattr(owner, attr)
 
         def counted(*args, _original=original, _attr=attr, **kwargs):
             counts[_attr] += 1
             return _original(*args, **kwargs)
 
+        monkeypatch.setattr(owner, attr, counted)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "subgf":
                 for key, value in list(vars(mod).items()):
@@ -574,6 +580,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "abaababa"
+
+
+def test_closed_pipe_ends_quietly():
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subgf", "expand", str(DATA / "fib.sub"),
+         "--n", "1000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    head = proc.stdout.read(5)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (head, err, proc.wait()) == (b"abaab", b"", 0)
 
 
 def test_cli_never_imports_sympy(tmp_path):

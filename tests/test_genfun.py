@@ -115,7 +115,7 @@ class TestSeries:
     ):
         s = corpus[name]
         seed = fixed_point_seed(s)
-        letter = data.draw(st.sampled_from(s.alphabet.letters))
+        letter = data.draw(st.sampled_from(s.alphabet))
         _check_positions(s, seed, letter, n_terms, bound)
 
     @pytest.mark.parametrize("letter, n", [("a", 1), ("a", 7), ("b", 1), ("b", 20)])
@@ -211,8 +211,8 @@ def substitutions(draw):
 @given(substitutions(), st.integers(0, 5), st.data())
 @settings(max_examples=200, deadline=None)
 def test_recursion_matches_word_expansion(s, level, data):
-    target = data.draw(st.sampled_from(s.alphabet.letters))
-    source = data.draw(st.sampled_from(s.alphabet.letters))
+    target = data.draw(st.sampled_from(s.alphabet))
+    source = data.draw(st.sampled_from(s.alphabet))
     word = s.apply_power(source, level)
     assert recursive_char_poly(s, target, source, level) == \
         char_prefix_poly(word, target)
@@ -439,7 +439,7 @@ class TestGaps:
     )
     @settings(max_examples=150, deadline=None)
     def test_match_differenced_positions(self, s, n, window, data):
-        letter = data.draw(st.sampled_from(s.alphabet.letters))
+        letter = data.draw(st.sampled_from(s.alphabet))
         analysis = Analysis(s)
         expected = difference_transform(_scan_positions(analysis, letter, n), 1).coefficients
         with patch.object(genfun, "GAP_WINDOW", window):

@@ -15,9 +15,9 @@ from subgf.geometric import (
     CHECK_ORDER,
     _endpoint_sums,
     _endpoints,
+    _sums_ok,
     classify_two_letter,
     endpoint_sequence,
-    geometric_identity_ok,
     natural_lengths,
     pf_as_quadratic,
 )
@@ -111,16 +111,16 @@ class TestEndpoints:
 class TestGeometricSeries:
     def test_identity_one_minus_x_g(self, fib, fib_seed, xyz, xyz_seed):
         for s, seed in ((fib, fib_seed), (xyz, xyz_seed)):
-            lengths = natural_lengths(s)
-            points = endpoint_sequence(s, seed, lengths, 1000)
+            table = natural_lengths(s).by_letter
             prefix = fixed_word_prefix(s, seed, 1000)
-            assert geometric_identity_ok(points, prefix, lengths)
-            # a wrong endpoint, a wrong start and a short truncation all fail
-            assert not geometric_identity_ok(
-                points[:500] + [points[500] + 1] + points[501:], prefix, lengths)
-            assert not geometric_identity_ok(
-                [p + 1 for p in points], prefix, lengths)
-            assert not geometric_identity_ok(points[:-1], prefix, lengths)
+            _, _, ps, qs = _endpoint_sums(s, table, prefix)
+            assert _sums_ok(table, prefix, ps, qs)
+            # a wrong endpoint (either part), a wrong start and a short
+            # truncation all fail
+            assert not _sums_ok(table, prefix, ps[:500] + [ps[500] + 1] + ps[501:], qs)
+            assert not _sums_ok(table, prefix, ps, qs[:500] + [qs[500] + 1] + qs[501:])
+            assert not _sums_ok(table, prefix, [p + 1 for p in ps], qs)
+            assert not _sums_ok(table, prefix, ps[:-1], qs[:-1])
 
     def test_fibonacci_decomposition_display(self, fib, fib_seed):
         # endpoint n equals n + (tau - 1) * (number of a's before position n)
@@ -287,7 +287,7 @@ def _tilings(draw):
         st.sampled_from(special),
     ).filter(lambda x: x > 0)
     lengths = {a: draw(value) for a in s.alphabet}
-    prefix = draw(st.text(alphabet="".join(s.alphabet.letters), max_size=40))
+    prefix = draw(st.text(alphabet="".join(s.alphabet), max_size=40))
     return s, lengths, prefix
 
 
@@ -310,10 +310,9 @@ def test_endpoint_sums_match_value_arithmetic(tiling, chunk_rows):
     assert decimals == [_reference_decimal(x) for x in ref]
     assert decimals == [value_decimal(x, 50) for x in ref]
 
-    assert geometric_identity_ok(ref, prefix, lengths)
+    assert _sums_ok(lengths, prefix, ps, qs)
     if prefix:
-        bumped = ref[:-1] + [ref[-1] + F(1, 7)]
-        assert not geometric_identity_ok(bumped, prefix, lengths)
+        assert not _sums_ok(lengths, prefix, ps[:-1] + [ps[-1] + 1], qs)
 
     # the CSV writer: one %-format per chunk of chunk_rows rows
     out = io.StringIO()
