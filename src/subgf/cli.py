@@ -189,7 +189,7 @@ def _period(args) -> int:
     if args.letter not in s.alphabet:
         raise SubgfError(f"letter {args.letter!r} not in alphabet")
     analysis = Analysis(s, None, (args.max_preperiod, args.max_period))
-    witness = analysis.raw_witness(args.letter)
+    witness = analysis.witness(args.letter)
     indicator = analysis.indicator(args.letter)
     payload = {
         "letter": args.letter,

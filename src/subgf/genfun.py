@@ -305,7 +305,7 @@ def series_verdict_of(
 ) -> SeriesVerdict:
     """Rationality/transcendence verdict for one letter's generating function.
 
-    A letter with a verified periodicity witness gets a Rational certificate
+    A letter with a proved periodicity witness gets a Rational certificate
     regardless of the substitution-level verdict (an aperiodic substitution
     can still place one letter periodically).  Transcendence is only claimed
     when the dominant eigenvalue is irrational and the letter is pinned down
@@ -329,7 +329,7 @@ def series_verdict_of(
     inconclusive = InconclusiveUpTo(*analysis.bounds)
 
     if kind == CHARACTERISTIC:
-        w = analysis.witnesses[letter]
+        w = analysis.witness(letter)
         if w is not None:
             form = rational_form_from_witness(analysis.indicator(letter), w)
             return Rational(form, w)
@@ -343,7 +343,10 @@ def series_verdict_of(
             return inconclusive
         gaps = _gaps(ones, analysis.need)
         w = detect_period(gaps, *analysis.bounds)
-        if w is not None:
+        # gaps repeat from index 2 iff the indicator has period D = one period's sum
+        if w and analysis.has_period(
+            letter, sum(gaps[max(w.preperiod, 2) :][: w.period])
+        ):
             base = rational_form_from_witness(gaps, w)
             form = RationalForm(base.numerator, base.period, summatory_power=1)
             pos = _scan_positions(analysis, letter, analysis.need, ones=ones)
@@ -352,7 +355,7 @@ def series_verdict_of(
             return Rational(form, w)
 
     if isinstance(analysis.verdict, AperiodicByIrrationalPF):
-        undetermined = [a for a, w in analysis.witnesses.items() if w is None]
+        undetermined = [a for a in s.alphabet if analysis.witness(a) is None]
         if len(undetermined) == 2 and letter in undetermined:
             by = "" if len(s.alphabet) == 2 else "-and-elimination"
             return TranscendentalByAperiodicity("aperiodic-by-irrational-eigenvalue" + by)

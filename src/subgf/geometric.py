@@ -253,9 +253,7 @@ def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassificati
         )
     verdict = analysis.verdict
     if isinstance(verdict, EventuallyPeriodic):
-        witness = analysis.raw_witness(first)
-        if witness is None:
-            return TwoLetterClassification("inconclusive", verified=False)
+        witness = analysis.witness(first)
         form = rational_form_from_witness(analysis.indicator(first), witness)
         # G = difference * X * P / ((1-X)(1-X^d)) + second * X / (1-X)^2
         expanded = RationalForm(form.numerator, form.period, 1).expand(CHECK_ORDER)

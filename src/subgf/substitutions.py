@@ -3,7 +3,7 @@ primitivity, Perron-Frobenius data, one-sided fixed words, and the
 aperiodicity verdict.
 
 `Analysis` derives each of these facts once, on first use, together with
-the shared fixed-word prefix and each letter's periodicity witnesses.
+the shared fixed-word prefix and each letter's proved period witness.
 
 Letters are single characters from [A-Za-z0-9]; words are plain strings.
 All values but an `Analysis` are immutable after construction.
@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
 
@@ -28,7 +29,7 @@ from .errors import (
     WrongAlphabetSizeError,
 )
 from .factoring import irreducible_factors
-from .periodicity import PeriodWitness, detect_period, verify_witness
+from .periodicity import PeriodWitness, detect_period
 from .polynomials import ExactPolynomial
 from .realroots import RootIsolator, isolate_max_root, separate_max_root
 
@@ -375,10 +376,10 @@ DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
 # about 0.8 s and 73 MB peak RSS for `analyze` on xyz, 0.43 s and 49 MB on
 # fib, and 0.34 s and 38 MB on Thue-Morse (2-vCPU VM, best of 3).
 MAX_SEARCH_LETTERS = 10**6
-# Largest prefix of the fixed word that an Analysis builds: `expand --n`,
-# the orders of `series` and `geom`, and the extended prefix, sigma**power of
-# the base prefix.  A longer one raises TooLargeError before any of it is
-# built.
+# Largest prefix of the fixed word that an Analysis builds (`expand --n`,
+# the orders of `series` and `geom`), and largest sum of block(b) + block(c)
+# over the pairs of a period proof (`Analysis.has_period`).  More raises
+# TooLargeError before any of it is built.
 MAX_EXTENDED_LETTERS = 10**7
 
 
@@ -415,7 +416,7 @@ class Analysis:
                 f"of {MAX_SEARCH_LETTERS}"
             )
         self._word, self._pieces = "", None
-        self._raw: dict[str, Optional[PeriodWitness]] = {}
+        self._witness: dict[str, Optional[PeriodWitness]] = {}
 
     @cached_property
     def matrix(self) -> SubstitutionMatrix:
@@ -467,43 +468,60 @@ class Analysis:
             self._word = "".join(parts)
         return self._word[:n]
 
-    @cached_property
-    def extended_prefix(self) -> str:
-        """sigma**power of the first `need` letters, up to MAX_EXTENDED_LETTERS."""
-        base = self.prefix(self.need)
-        n = sum(base.count(a) * len(image) for a, image in self.power_table.items())
-        try:
-            return self.prefix(n)
-        except TooLargeError as exc:
-            raise TooLargeError(f"extended {exc}") from None
-
     def indicator(self, letter: str) -> bytes:
         """The letter's `_zero_one` bytes over the first `need` letters."""
         return _zero_one(self.prefix(self.need), letter)
 
-    def raw_witness(self, letter: str) -> Optional[PeriodWitness]:
-        """`detect_period` on the letter's indicator over the base prefix."""
-        if letter not in self._raw:
-            self._raw[letter] = detect_period(self.indicator(letter), *self.bounds)
-        return self._raw[letter]
-
     @cached_property
-    def witnesses(self) -> dict[str, Optional[PeriodWitness]]:
-        """Each letter's raw witness if it also explains the extended prefix."""
-        out = {a: self.raw_witness(a) for a in self.substitution.alphabet}
-        for a, w in out.items():
-            if w and not verify_witness(_zero_one(self.extended_prefix, a), w):
-                out[a] = None
-        return out
+    def pairs(self) -> set[str]:
+        """The 2-letter factors of x = sigma**p(x): those inside each
+        sigma**p(a), closed under bc -> the last letter of sigma**p(b) and the
+        first of sigma**p(c), the one other factor of sigma**p(bc)."""
+        t = self.power_table
+        pairs, new = set(), {w[i : i + 2] for w in t.values() for i in range(len(w) - 1)}
+        while new:
+            pairs |= new
+            new = {t[b][-1] + t[c][0] for b, c in new} - pairs
+        return pairs
+
+    def has_period(self, letter: str, d: int) -> bool:
+        """Whether the letter's 0/1 indicator over all of x has period d.  A
+        primitive x is uniformly recurrent, and once every block
+        sigma**(p*j)(a) has d letters each (d + 1)-letter factor of x lies in
+        block(b) + block(c) for a pair bc, so checking those pairs is a proof."""
+        if self.primitivity_witness is None:
+            raise NotPrimitiveError("substitution is not primitive")
+        table, sizes = self.power_table, dict.fromkeys(self.power_table, 1)
+        while min(sizes.values()) < d:
+            sizes = {a: sum(map(sizes.__getitem__, w)) for a, w in table.items()}
+        n = sum(sizes[b] + sizes[c] for b, c in self.pairs)
+        if n > MAX_EXTENDED_LETTERS:
+            raise TooLargeError(f"period proof over {n} letters exceeds the "
+                                f"limit of {MAX_EXTENDED_LETTERS}")
+        blocks = {a: a for a in table}
+        while min(map(len, blocks.values())) < d:
+            blocks = {a: "".join(map(blocks.__getitem__, w)) for a, w in table.items()}
+        ones = {a: _zero_one(w, letter) for a, w in blocks.items()}
+        return all((u := ones[b] + ones[c])[d:] == u[:-d] for b, c in self.pairs)
+
+    def witness(self, letter: str) -> Optional[PeriodWitness]:
+        """`detect_period` on the letter's indicator, kept if `has_period`
+        proves its period, so its preperiod is 0; none is lost, as an eventually
+        periodic indicator over a uniformly recurrent word is periodic."""
+        if letter not in self._witness:
+            w = detect_period(self.indicator(letter), *self.bounds)
+            proved = w and self.has_period(letter, w.period)
+            self._witness[letter] = w if proved else None
+        return self._witness[letter]
 
     @cached_property
     def verdict(self) -> AperiodicityVerdict:
         """An irrational dominant eigenvalue proves aperiodicity.  Otherwise
-        a word-level witness counts once it also explains the extended prefix
-        (self-similarity); all else is inconclusive, not aperiodic."""
+        x has period d iff every letter's indicator does: the lcm of the proved
+        letter periods, if within bounds; else inconclusive, not aperiodic."""
         if not self.pf.is_rational:
             return AperiodicByIrrationalPF()
-        w = detect_period(self.prefix(self.need), *self.bounds)
-        if w and verify_witness(self.extended_prefix, w):
-            return EventuallyPeriodic(w.preperiod, w.period)
+        ws = [self.witness(a) for a in self.substitution.alphabet]
+        if all(ws) and (d := lcm(*(w.period for w in ws))) <= self.bounds[1]:
+            return EventuallyPeriodic(0, d)
         return InconclusiveUpTo(*self.bounds)

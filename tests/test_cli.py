@@ -109,6 +109,32 @@ class TestPeriod:
         assert code == 3
         assert json.loads(out)["witness"] is None
 
+    # witnesses that the base prefix shows but the fixed word refutes: b
+    # first occurs at position 435, past the 10-letter search at (0, 1); a
+    # occurs infinitely often, but the 23-letter search at (3, 2) sees it once
+    @pytest.mark.parametrize("rules, letter, bounds", [
+        ("a -> decc\nb -> c\nc -> eeae\nd -> ebce\ne -> cc\n", "b", ("0", "1")),
+        ("a -> b\nb -> d\nc -> ae\nd -> dc\ne -> eebe\n", "a", ("3", "2")),
+    ])
+    def test_unproved_witness_is_dropped(self, capsys, tmp_path, rules, letter, bounds):
+        path = tmp_path / "r.sub"
+        path.write_text(rules)
+        opts = ["--max-preperiod", bounds[0], "--max-period", bounds[1]]
+        code, out, _ = run(
+            capsys, "period", str(path), "--letter", letter, *opts, "--strict"
+        )
+        assert code == 3
+        assert json.loads(out) == {
+            "letter": letter,
+            "bounds": {"max_preperiod": int(bounds[0]), "max_period": int(bounds[1])},
+            "witness": None,
+            "rational_form": None,
+        }
+        code, out, _ = run(capsys, "analyze", str(path), *opts)
+        assert code == 0
+        verdict = json.loads(out)["series"][letter]["characteristic"]
+        assert verdict["kind"] == "inconclusive"
+
 
 @pytest.mark.parametrize("argv", [
     ["analyze", str(DATA / "xyz.sub")],
@@ -123,28 +149,44 @@ def test_period_search_over_the_limit_refused_up_front(capsys, argv):
     assert "exceeds the limit of 1000000" in err
 
 
-def test_extended_prefix_over_the_limit_refused_before_it_is_built(capsys, tmp_path):
-    # lambda = 1001 and a period-2 witness in the 10**6-letter base prefix:
-    # sigma of that prefix has 1.001 * 10**9 letters
+WIDE = f"a -> {'ab' * 500}a\nb -> {'ba' * 500}b\n"  # lambda = 1001
+
+
+def test_wide_period_proof_is_quick(capsys, tmp_path):
+    # a period-2 witness in the 10**6-letter base prefix; the proof reads
+    # sigma of the two pairs ab and ba, 4004 letters
     rules = tmp_path / "wide.sub"
-    rules.write_text(f"a -> {'ab' * 500}a\nb -> {'ba' * 500}b\n")
+    rules.write_text(WIDE)
     start = time.perf_counter()
     code, out, err = run(
         capsys, "analyze", str(rules), "--max-preperiod", "0", "--max-period", "100000"
     )
     assert time.perf_counter() - start < 2
-    assert code == 2 and out == ""
-    assert "extended prefix of 1001000000 letters exceeds the limit of 10000000" in err
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["aperiodicity"] == {
+        "verdict": "eventually-periodic", "preperiod": 0, "period": 2
+    }
+    for letter in "ab":
+        assert doc["series"][letter]["characteristic"]["kind"] == "rational"
 
 
-def test_extended_prefix_limit_is_inclusive(monkeypatch):
-    fib = substitutions.parse_substitution((DATA / "fib.sub").read_text())
-    n = len(substitutions.Analysis(fib).extended_prefix)
-    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", n)
-    assert len(substitutions.Analysis(fib).extended_prefix) == n
-    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", n - 1)
+def test_period_proof_limit_is_inclusive(capsys, monkeypatch, tmp_path):
+    rules = tmp_path / "wide.sub"
+    rules.write_text(WIDE)
+    argv = ["analyze", str(rules), "--max-preperiod", "0", "--max-period", "2"]
+    wide = substitutions.parse_substitution(WIDE)
+    assert substitutions.Analysis(wide).pairs == {"ab", "ba"}
+    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", 4004)
+    assert substitutions.Analysis(wide).has_period("a", 2)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["aperiodicity"]["period"] == 2
+    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", 4003)
     with pytest.raises(substitutions.TooLargeError):
-        substitutions.Analysis(fib).extended_prefix
+        substitutions.Analysis(wide).has_period("a", 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "period proof over 4004 letters exceeds the limit of 4003" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -328,7 +370,8 @@ class TestAnalyze:
         assert counts["characteristic_polynomial"] == 1
         assert counts["is_primitive"] == 1
         assert counts["_blocks"] == 1
-        assert counts["detect_period"] <= 2 * k + 1
+        # one scan per letter for each kind, and none for the word
+        assert counts["detect_period"] == 2 * k
         # sigma**p and the gap bound: one length recurrence, one rule table
         assert counts["image_lengths"] == 1
         assert counts["MappingProxyType"] == 1
@@ -565,6 +608,58 @@ def test_analyze_on_random_substitutions_is_pinned(capsys, tmp_path):
     assert digest.hexdigest() == (
         "ac5e9281413137b13920315af881f7cfb2b7dbdbfbb75d646332536fcdb4a99a"
     )
+
+
+def _self_similar(rules: dict, d: int) -> bool:
+    """Whether the fixed word of `fixed_point_seed` is u u u ... for its
+    first d letters u, by sigma**p(u) == u**j: sigma**p fixes u**infinity,
+    which starts with the seed letter a, and the one such fixed point is the
+    word.  Written apart from subgf: seed search and expansion are here."""
+    def image(word, m):
+        for _ in range(m):
+            word = "".join(rules[ch] for ch in word)
+        return word
+
+    p, a = next(
+        (p, a) for p in range(1, 100) for a in rules
+        if image(a, p)[0] == a and len(image(a, p)) >= 2
+    )
+    word = a
+    while len(word) < d:
+        word = image(word, p)
+    u = word[:d]
+    v = image(u, p)
+    return len(v) % d == 0 and v == u * (len(v) // d)
+
+
+def test_periodic_verdicts_recheck_by_self_similarity(capsys, tmp_path):
+    # the corpus, 100 drawn rules, and 60 with one image for every letter
+    # that holds all letters, whose word is periodic; every third run has
+    # bounds too small for some periods
+    rng = random.Random(26)
+    texts = [(DATA / f"{n}.sub").read_text() for n in ("fib", "xyz", "abab", "thue_morse")]
+    texts += [_random_rules(rng, 2 + i % 4, False) for i in range(100)]
+    for i in range(60):
+        letters = "abcde"[: 2 + i % 4]
+        image = "".join(rng.sample(letters, len(letters)) + rng.choices(letters, k=i % 3))
+        texts.append("".join(f"{a} -> {image}\n" for a in letters))
+    periodic = 0
+    for i, text in enumerate(texts):
+        path = tmp_path / f"r{i}.sub"
+        path.write_text(text)
+        bounds = ["--max-preperiod", "0", "--max-period", "3"] if i % 3 == 2 else []
+        code, out, _ = run(capsys, "analyze", str(path), *bounds)
+        doc = json.loads(out)
+        verdict = (doc.get("aperiodicity") or {}).get("verdict")
+        if verdict == "eventually-periodic":
+            periodic += 1
+            period = doc["aperiodicity"]["period"]
+            assert doc["aperiodicity"]["preperiod"] == 0
+            rules = doc["substitution"]["rules"]
+            # the least period, which divides every other
+            assert [e for e in range(1, period + 1) if _self_similar(rules, e)
+                    and period % e == 0] == [period]
+    assert periodic >= 40
 
 
 def test_module_entry_point():

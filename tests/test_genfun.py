@@ -555,6 +555,18 @@ class TestVerdicts:
         expanded = v.form.expand(100)
         assert [int(c) for c in expanded.coefficients[:4]] == [1, 0, 1, 0]
 
+    def test_position_witness_needs_a_proof(self):
+        # at (3, 2) the gaps of c begin 1, 13, 1, 13, ..., a period-2 witness
+        # from index 2 that the word's later gaps refute
+        s = parse_substitution("a->bb\nb->ccba\nc->aaaa")
+        v = series_verdict(s, None, "c", POSITION, (3, 2))
+        assert v == InconclusiveUpTo(3, 2)
+        word = fixed_word_prefix(s, fixed_point_seed(s), 10**5)
+        pos = [i for i, ch in enumerate(word) if ch == "c"]
+        gaps = [0, pos[0], *(b - a for a, b in zip(pos, pos[1:]))]
+        assert detect_period(gaps[:24], 3, 2) == PeriodWitness(2, 2)
+        assert not verify_witness(gaps, PeriodWitness(2, 2))
+
     def test_requires_primitive(self):
         s = parse_substitution("a->ab\nb->b")
         with pytest.raises(NotPrimitiveError):
