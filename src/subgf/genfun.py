@@ -318,6 +318,10 @@ def series_verdict_of(
     `_gaps` reads them from the zero runs of the letter's 0/1 bytes, and
     the positions are read, by `_scan_positions` on the same bytes, only to
     re-check a witness's certificate.
+
+    Either witness is a proved period of the letter's indicator, which then
+    has a rational frequency: a letter of `analysis.irrational_letters` has
+    none, and neither kind is searched for it.
     """
     s = analysis.substitution
     if letter not in s.alphabet:
@@ -333,7 +337,7 @@ def series_verdict_of(
         if w is not None:
             form = rational_form_from_witness(analysis.indicator(letter), w)
             return Rational(form, w)
-    else:
+    elif letter not in analysis.irrational_letters:
         # position kind: the gaps are bounded, so they take finitely many
         # values; detect on them, then multiply the certificate back by
         # 1/(1 - X) and re-check it on the positions

@@ -21,6 +21,8 @@ proves the first by Descartes counts on (l, r) itself.  Isolation counts
 prove it as well: `isolate_max_root` on (lower, r] returns a bracket
 (u, v] with no root in (v, r], so v <= l leaves none in (l, r), and a count
 of 0 on (lower, r] leaves none at all (`fibonacci.positivity_bound`).
+`locate_max_root` finds the bracket that `isolate_max_root` ends in from a
+float estimate, and proves it with two exact signs and one count.
 
 Sturm chains, an independent reference for the Descartes counts, live with
 the tests (`tests/sturm_reference.py`).
@@ -31,6 +33,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import isfinite
 from operator import add
 
 from .errors import (
@@ -245,6 +248,33 @@ def isolate_max_root(p, lower, upper, eps) -> tuple[Fraction, Fraction]:
         else:
             hi = mid
     return lo, hi
+
+
+def locate_max_root(p, lower, upper, eps, estimate: float):
+    """The bracket that `isolate_max_root(p, lower, upper, eps)` returns,
+    located from a float estimate of the largest root r, or None if that is
+    not proved.
+
+    Bisection halves (lower, upper] K times, K the least with
+    (upper - lower) / 2**K <= eps, and keeps r in the current cell; unless a
+    midpoint is r, it ends in the one cell of that grid that holds r.  The
+    estimate only proposes the cell (u, v]; it is that cell when p changes
+    sign across it (so r is inside, on no grid point) and no root lies in
+    (v, upper]."""
+    roots = _isolator(p)
+    lo, hi, eps = _frac(lower), _frac(upper), _frac(eps)
+    if not isfinite(estimate):
+        return None
+    k = (-(-(hi - lo) // eps) - 1).bit_length()
+    step = (hi - lo) / (1 << k)
+    j = (Fraction(estimate) - lo) // step
+    if not 0 <= j < 1 << k:
+        return None
+    u = lo + j * step
+    v = u + step
+    if roots.sign_at(u) * roots.sign_at(v) >= 0:
+        return None
+    return (u, v) if v == hi or not roots.count(v, hi, 1) else None
 
 
 def separate_max_root(p, lower, upper) -> tuple[Fraction, Fraction]:

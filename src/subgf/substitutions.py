@@ -3,7 +3,8 @@ primitivity, Perron-Frobenius data, one-sided fixed words, and the
 aperiodicity verdict.
 
 `Analysis` derives each of these facts once, on first use, together with
-the shared fixed-word prefix and each letter's proved period witness.
+the shared fixed-word prefix, the letters whose frequency is irrational and
+each other letter's proved period witness.
 
 Letters are single characters from [A-Za-z0-9]; words are plain strings.
 All values but an `Analysis` are immutable after construction.
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
 
@@ -30,8 +32,13 @@ from .errors import (
 )
 from .factoring import irreducible_factors
 from .periodicity import PeriodWitness, detect_period
-from .polynomials import ExactPolynomial
-from .realroots import RootIsolator, isolate_max_root, separate_max_root
+from .polynomials import ExactPolynomial, _primitive
+from .realroots import (
+    RootIsolator,
+    isolate_max_root,
+    locate_max_root,
+    separate_max_root,
+)
 
 _LETTER = re.compile(r"[A-Za-z0-9]")
 
@@ -239,6 +246,28 @@ class PFData:
 _PF_WIDTH = Fraction(1, 10**12)
 
 
+def _pf_estimate(coeffs, upper: int) -> float:
+    """Newton's method in floats on the characteristic polynomial (integer
+    coefficients, constant term first) from `upper`, above every eigenvalue:
+    each step stays above lambda, since every other eigenvalue has real part
+    below the iterate, so the iterates fall to lambda.  An estimate only; nan
+    or a wrong value when floats overflow or lose the root."""
+    x = float(upper)
+    try:
+        for _ in range(200):
+            p = dp = 0.0
+            for c in reversed(coeffs):
+                dp = dp * x + p
+                p = p * x + c
+            nxt = x - p / dp
+            if not nxt < x:
+                break
+            x = nxt
+    except (OverflowError, ZeroDivisionError):
+        return float("nan")
+    return x
+
+
 def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
     """Characteristic polynomial, minimal polynomial of the dominant
     eigenvalue, and a rational enclosure of it with width <= 1e-12.
@@ -249,9 +278,15 @@ def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
     char = characteristic_polynomial(m)
     roots = RootIsolator(char)
     # the dominant eigenvalue lies in [1, max row sum]; rational roots of a
-    # monic integer polynomial are integers, so no root can sit at 1/2
+    # monic integer polynomial are integers, so no root can sit at 1/2.
+    # Every other eigenvalue has modulus < lambda < v, so the disc on
+    # (v, upper) holds no root and its Descartes count is 0 (the one-circle
+    # theorem): the estimate's cell is proved unless the estimate misses it,
+    # and a miss bisects to the same cell
     upper = max(m.row_sums()) + 1
-    lo, hi = isolate_max_root(roots, Fraction(1, 2), upper, _PF_WIDTH / 2)
+    bounds = (Fraction(1, 2), upper, _PF_WIDTH / 2)
+    estimate = _pf_estimate(char.coefficients, upper)
+    lo, hi = locate_max_root(roots, *bounds, estimate) or isolate_max_root(roots, *bounds)
     lo, hi = separate_max_root(roots, lo, hi)
     # the dominant eigenvalue is a simple root of char and its only root in
     # (lo, hi], so exactly the irreducible factor vanishing there changes
@@ -392,6 +427,19 @@ def aperiodicity_verdict(
     return Analysis(s, None, (prefix_bound, period_bound)).verdict
 
 
+def _rank(vectors: list[list[int]]) -> int:
+    """Rank over Q of integer vectors, by fraction-free elimination."""
+    rank, rows = 0, vectors
+    while rows:
+        row, *rows = rows
+        j = next((j for j, x in enumerate(row) if x), None)
+        if j is not None:
+            rank += 1
+            rows = [_primitive([row[j] * x - r[j] * y for x, y in zip(r, row)])
+                    for r in rows]
+    return rank
+
+
 def _zero_one(word: str, letter: str) -> bytes:
     """The letter's 0/1 indicator over the word, one byte (0 or 1) per
     letter, by one `bytes.translate`: words are ASCII, since letters are.
@@ -504,12 +552,39 @@ class Analysis:
         ones = {a: _zero_one(w, letter) for a, w in blocks.items()}
         return all((u := ones[b] + ones[c])[d:] == u[:-d] for b, c in self.pairs)
 
+    @cached_property
+    def irrational_letters(self) -> frozenset[str]:
+        """The letters of a primitive substitution whose frequency is
+        irrational.  The frequencies are the left PF eigenvector f with
+        f.1 = 1 (Queffelec, LNM 1294, ch. 5), so f = sum of lambda**i * w_i
+        over i < deg q, q the minimal polynomial of lambda, with rational w_i;
+        the left kernel of C = q(M) has the basis w_i, and its part with
+        v.1 = 0 has the basis w_i, i >= 1.  So f_a is rational iff v_a = 0 on
+        that part, that is iff rank[C | 1 | e_a] = rank[C | 1]."""
+        if self.primitivity_witness is None or self.pf.is_rational:
+            return frozenset()
+        rows, k = self.matrix.rows, self.matrix.k
+        c = [[0] * k for _ in range(k)]
+        for coeff in reversed(self.pf.min_poly_of_pf.coefficients):  # Horner
+            c = [[sum(map(mul, row, col)) + coeff * (i == j)
+                  for j, col in enumerate(zip(*rows))] for i, row in enumerate(c)]
+        columns = [*map(list, zip(*c)), [1] * k]
+        full = _rank(columns)
+        return frozenset(
+            a for i, a in enumerate(self.substitution.alphabet)
+            if _rank([*columns, [int(i == j) for j in range(k)]]) > full
+        )
+
     def witness(self, letter: str) -> Optional[PeriodWitness]:
         """`detect_period` on the letter's indicator, kept if `has_period`
         proves its period, so its preperiod is 0; none is lost, as an eventually
-        periodic indicator over a uniformly recurrent word is periodic."""
+        periodic indicator over a uniformly recurrent word is periodic.  A
+        periodic 0/1 sequence has a rational frequency, so the irrational
+        letters are not searched."""
         if letter not in self._witness:
-            w = detect_period(self.indicator(letter), *self.bounds)
+            w = None
+            if letter not in self.irrational_letters:
+                w = detect_period(self.indicator(letter), *self.bounds)
             proved = w and self.has_period(letter, w.period)
             self._witness[letter] = w if proved else None
         return self._witness[letter]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from subgf import genfun, periodicity, quadratic, substitutions
+from subgf import genfun, periodicity, quadratic, realroots, substitutions
 from subgf.cli import main
 from subgf.quadratic import QuadraticReal
 from subgf.serialize import canonical_dumps
@@ -227,6 +227,39 @@ def test_prefix_limit_is_inclusive(capsys, monkeypatch):
     assert "prefix of 14 letters exceeds the limit of 13" in err
 
 
+def test_irrational_letters_are_not_scanned_at_large_bounds(capsys, tmp_path):
+    # every frequency is irrational, so no letter needs the 10**6 occurrences
+    # whose scan would pass the prefix limit (an exit 2 before the skip)
+    path = tmp_path / "five.sub"
+    path.write_text("a -> bead\nb -> dac\nc -> ba\nd -> aac\ne -> bde\n")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "analyze", str(path), "--max-preperiod", "0", "--max-period", "100000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert json.loads(out)["aperiodicity"] == {"verdict": "aperiodic-by-irrational-pf"}
+
+
+def test_faked_period_of_an_irrational_letter_is_not_searched(capsys, monkeypatch, tmp_path):
+    # the word is (a**200 b)**200 a ..., so b's indicator repeats with period
+    # 201 over the 2010 letters searched at these bounds, but lambda =
+    # 100 + sqrt(10001) makes b's frequency irrational: no scan, no witness
+    rules = "a -> " + "a" * 200 + "b\nb -> a\n"
+    s = substitutions.parse_substitution(rules)
+    analysis = substitutions.Analysis(s, None, (0, 201))
+    assert periodicity.detect_period(analysis.indicator("b"), 0, 201).period == 201
+    assert analysis.irrational_letters == {"a", "b"}
+    path = tmp_path / "long.sub"
+    path.write_text(rules)
+    counts = _count_facts(monkeypatch)
+    code, out, _ = run(capsys, "analyze", str(path), "--max-preperiod", "0",
+                       "--max-period", "201")
+    assert code == 0 and counts["detect_period"] == 0
+    for verdicts in json.loads(out)["series"].values():
+        assert {v["kind"] for v in verdicts.values()} == {"transcendental-by-aperiodicity"}
+
+
 def test_large_period_bound_pinned(capsys):
     # recorded with the period search that XORs both shifted copies for every
     # candidate d (43 s there); a search that is quadratic again shows as a
@@ -362,19 +395,28 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
     def test_each_fact_computed_once(self, capsys, monkeypatch, name):
+        irrational = {"fib": "ab", "xyz": "xz", "abab": "", "thue_morse": ""}[name]
         counts = _count_facts(monkeypatch)
         code, out, _ = run(capsys, "analyze", str(DATA / f"{name}.sub"))
         assert out == (GOLDEN / f"{name}.json").read_text()
         k = len(json.loads(out)["substitution"]["alphabet"])
+        scanned = len(irrational) < k
         assert counts["pf_data"] == 1
         assert counts["characteristic_polynomial"] == 1
         assert counts["is_primitive"] == 1
-        assert counts["_blocks"] == 1
-        # one scan per letter for each kind, and none for the word
-        assert counts["detect_period"] == 2 * k
-        # sigma**p and the gap bound: one length recurrence, one rule table
-        assert counts["image_lengths"] == 1
+        # the PF enclosure from the located cell, with no bisection
+        assert counts["isolate_max_root"] == 0
+        # one scan per letter for each kind, none for a letter whose
+        # frequency is irrational, and none for the word
+        assert counts["detect_period"] == 2 * (k - len(irrational))
+        # the word is streamed, and sigma**p and the gap bound are built
+        # (one length recurrence, one rule table), once and only if some
+        # letter is scanned
+        assert counts["_blocks"] == scanned
+        assert counts["image_lengths"] == scanned
         assert counts["MappingProxyType"] == 1
+        s = substitutions.parse_substitution((DATA / f"{name}.sub").read_text())
+        assert substitutions.Analysis(s).irrational_letters == set(irrational)
 
     @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
     def test_positions_built_only_for_witnesses(self, capsys, monkeypatch, name):
@@ -399,6 +441,7 @@ def _count_facts(monkeypatch) -> dict:
                         (substitutions, "_blocks"),
                         (substitutions, "MappingProxyType"),
                         (substitutions.Substitution, "image_lengths"),
+                        (realroots, "isolate_max_root"),
                         (periodicity, "detect_period"),
                         (genfun, "_scan_positions")):
         counts[attr] = 0

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Poly as SympyPoly, Rational as SympyRational, symbols
 
 from subgf import factoring, polynomials, realroots
@@ -20,6 +22,7 @@ from subgf.realroots import (
     _root_free_certificate,
     certify_positive,
     isolate_max_root,
+    locate_max_root,
     separate_max_root,
 )
 from sturm_reference import count_roots, sturm_chain
@@ -522,3 +525,65 @@ def test_square_free_fallback_matches_sympy():
         )
         assert not proved, poly
         assert factoring._square_free(cs) == _sympy_square_free(cs), poly
+
+
+@st.composite
+def _grid_cases(draw):
+    """(p, eps, root): a square-free product of linear factors 8x - n and at
+    most one irreducible x^2 - c, the eps of bisection on (-6, 6], and the
+    largest root if it is rational.  Roots n/8 fall on the bisection grid
+    for some n and eps."""
+    roots = draw(st.lists(st.integers(-47, 47), min_size=1, max_size=4, unique=True))
+    p = P([1])
+    for n in roots:
+        p = p * P([-n, 8])
+    c = draw(st.sampled_from([0, 2, 3, 5, 7, 11, 30]))
+    if c:
+        p = p * P([-c, 0, 1])
+    eps = draw(st.sampled_from([F(1, 2**m) for m in (1, 3, 7, 20, 41)]
+                               + [F(1, 10**m) for m in (1, 6, 12)]))
+    top = F(max(roots), 8)
+    return p, eps, (top if not c or top > 0 and top * top > c else None)
+
+
+@given(_grid_cases(), st.floats(-7, 7))
+@settings(max_examples=300, deadline=None)
+def test_locate_max_root_is_bisection_or_none(case, estimate):
+    # from the estimate of its midpoint, the bisection's bracket is located
+    # iff no midpoint hits the largest root (12 / 2**k wide cells, k up to
+    # the last level) and p changes sign across the bracket (not so if a
+    # smaller root is an end of it, or shares it); any other estimate gives
+    # that bracket or None
+    p, eps, root = case
+    bracket = isolate_max_root(p, -6, 6, eps)
+    level = next(k for k in count() if F(12, 2**k) <= eps)
+    on_grid = root is not None and ((root + 6) * 2**level / 12).denominator == 1
+    missed = on_grid or p.sign_at(bracket[0]) * p.sign_at(bracket[1]) >= 0
+    located = locate_max_root(p, -6, 6, eps, float(sum(bracket) / 2))
+    assert located == (None if missed else bracket)
+    assert locate_max_root(p, -6, 6, eps, estimate) in (None, bracket)
+
+
+def test_locate_max_root_rejects_cells_off_the_largest_root():
+    # roots 1/3 and +-sqrt2 on (0, 2]: cells just above and below sqrt2, and
+    # the cell of the smaller root 1/3, whose sign change is not enough
+    p = P([-2, 0, 1]) * P([-1, 3])
+    eps = F(1, 2**20)
+    bracket = isolate_max_root(p, 0, 2, eps)
+    assert locate_max_root(p, 0, 2, eps, 2**0.5) == bracket
+    for estimate in (2**0.5 + 1e-3, 2**0.5 - 1e-3, 1 / 3, 2.5, -0.5, float("nan"),
+                     float("inf")):
+        assert locate_max_root(p, 0, 2, eps, estimate) is None, estimate
+    # the top cell (u, upper] needs no count above it
+    q = P([-(2**23 - 1), 2**22])  # root 2 - 2**-22, inside the top cell
+    u, v = isolate_max_root(q, 0, 2, eps)
+    assert v == 2 and locate_max_root(q, 0, 2, eps, 2.0 - 2**-22) == (u, v)
+
+
+def test_locate_max_root_grid_level():
+    # K is the least level whose cells are at most eps wide: 12 / 2**K <= eps
+    p = P([-7, 0, 1])  # sqrt7
+    for eps in (F(12, 2**5), F(12, 2**5) - F(1, 10**9), F(12, 2**5) + F(1, 10**9), F(5)):
+        u, v = locate_max_root(p, -6, 6, eps, 7**0.5)
+        assert (u, v) == isolate_max_root(p, -6, 6, eps)
+        assert v - u <= eps < 2 * (v - u)

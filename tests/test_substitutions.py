@@ -6,9 +6,17 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from sympy import Matrix, Poly as SympyPoly, Rational, minimal_polynomial, symbols
+from sympy import (
+    Matrix,
+    Poly as SympyPoly,
+    Rational,
+    factor_list,
+    minimal_polynomial,
+    symbols,
+)
 
 from subgf.errors import (
     DuplicateRuleError,
@@ -20,7 +28,7 @@ from subgf.errors import (
     UnknownLetterError,
     WrongAlphabetSizeError,
 )
-from subgf import substitutions
+from subgf import genfun, periodicity, substitutions
 from subgf.cli import main
 from subgf.genfun import _scan_positions, position_series
 from subgf.polynomials import ExactPolynomial as P
@@ -274,6 +282,60 @@ class TestPFData:
         assert digest.hexdigest() == (
             "81bedb2639c81a6a500cafc273d15d93d41a6692834a8624f18061b0a4c3a019"
         )
+
+    @staticmethod
+    def _random_primitive_matrices(seed, count):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            k = rng.randint(1, 5)
+            rows = [[rng.choice((0, 0, 0, 1, 1, 2, 3)) for _ in range(k)] for _ in range(k)]
+            for i, row in enumerate(rows):
+                row[i] += sum(row) == 0  # every row must sum to at least 1
+            if rng.random() < 0.2:  # a circulant: lambda is its row sum
+                rows = [rows[0][i:] + rows[0][:i] for i in range(k)]
+            m = SubstitutionMatrix(tuple(map(tuple, rows)))
+            if is_primitive(m) is not None:
+                out.append(m)
+        return out
+
+    def test_located_cell_is_the_bisection_cell(self):
+        # the cell from the float estimate is always proved (the one-circle
+        # argument), and it is the one that plain bisection ends in
+        rational = 0
+        for m in self._random_primitive_matrices(30, 150):
+            char = characteristic_polynomial(m)
+            upper = max(m.row_sums()) + 1
+            bounds = (F(1, 2), upper, F(1, 2 * 10**12))
+            estimate = substitutions._pf_estimate(char.coefficients, upper)
+            cell = substitutions.locate_max_root(char, *bounds, estimate)
+            assert cell == substitutions.isolate_max_root(char, *bounds), m
+            rational += pf_data(m).is_rational
+        assert rational >= 20
+
+    def test_pf_data_same_without_the_located_cell(self, monkeypatch):
+        # pf_data on the located cell against pf_data that always bisects
+        matrices = self._random_primitive_matrices(31, 100)
+        located = [pf_data(m) for m in matrices]
+        monkeypatch.setattr(substitutions, "locate_max_root", lambda *args: None)
+        assert [pf_data(m) for m in matrices] == located
+
+    @pytest.mark.parametrize("estimate", [
+        float("nan"), float("inf"), -1.0, 0.0, 1.0, 1.5, 2.5, 2.999, 3.001, 3.5, 5.0,
+    ])
+    def test_missed_cell_falls_back_to_bisection(self, monkeypatch, estimate):
+        # lambda = 3 and 1.618...; no estimate is in the right cell (that of
+        # the other eigenvalue 1 of [[2, 1], [1, 2]] changes sign too, but a
+        # root lies above it), so each pf_data bisects, to the same data
+        cases = [SubstitutionMatrix(((2, 1), (1, 2))), SubstitutionMatrix(((1, 1), (1, 0)))]
+        expected = [pf_data(m) for m in cases]
+        calls = []
+        bisect = substitutions.isolate_max_root
+        monkeypatch.setattr(substitutions, "isolate_max_root",
+                            lambda *args: calls.append(args) or bisect(*args))
+        monkeypatch.setattr(substitutions, "_pf_estimate", lambda cs, upper: estimate)
+        assert [pf_data(m) for m in cases] == expected
+        assert len(calls) == 2
 
 
 class TestFixedPoints:
@@ -565,3 +627,98 @@ class TestPeriodProof:
         s = parse_substitution("a->aab\nb->b")
         with pytest.raises(NotPrimitiveError):
             Analysis(s, FixedPointSeed(1, "a")).has_period("a", 1)
+
+
+def _rational_frequency_letters(rules: dict) -> set:
+    """The letters with a rational frequency, by mpmath at 60 digits: the
+    left eigenvector of each conjugate of lambda, normalised to sum 1, is
+    the conjugate of the frequency vector, and a frequency is rational iff
+    all its conjugates agree.  Written apart from subgf: the matrix, the
+    factors (sympy) and the eigenvectors (mpmath) are all made here."""
+    letters = list(rules)
+    m = [[rules[a].count(b) for b in letters] for a in letters]
+    x = symbols("x")
+    tiny = mpmath.mpf(10) ** -40
+    with mpmath.workdps(60):
+        def roots(cs):
+            return mpmath.polyroots(cs, maxsteps=400, extraprec=400)
+
+        def top_real_root(cs):
+            return max((mpmath.re(r) for r in roots(cs) if abs(mpmath.im(r)) < tiny),
+                       default=-1)
+
+        factors = [SympyPoly(f, x).all_coeffs()
+                   for f, _ in factor_list(Matrix(m).charpoly(x).as_expr())[1]]
+        values, left = mpmath.eig(mpmath.matrix(m), left=True, right=False)
+        freqs = []
+        for mu in roots(max(factors, key=top_real_root)):
+            i = min(range(len(letters)), key=lambda i: abs(values[i] - mu))
+            row = [left[i, j] for j in range(len(letters))]
+            freqs.append([c / sum(row) for c in row])
+        return {a for j, a in enumerate(letters)
+                if all(abs(f[j] - freqs[0][j]) < tiny for f in freqs)}
+
+
+def _random_primitive_rules(rng, count):
+    """`count` primitive rules on 2-5 letters, images of 1-4 letters."""
+    out = []
+    while len(out) < count:
+        letters = "abcde"[: 2 + len(out) % 4]
+        rules = {a: "".join(rng.choices(letters, k=rng.randint(1, 4))) for a in letters}
+        if is_primitive(substitution_matrix(Substitution.from_rules(rules))) is not None:
+            out.append(rules)
+    return out
+
+
+class TestIrrationalLetters:
+    """`Analysis.irrational_letters` (the rank test) against the conjugate
+    frequencies of `_rational_frequency_letters`."""
+
+    def _check(self, rules):
+        s = Substitution.from_rules(rules)
+        assert Analysis(s).irrational_letters == set(rules) - _rational_frequency_letters(
+            rules), rules
+
+    def test_corpus(self, corpus):
+        expected = {"fib": {"a", "b"}, "xyz": {"x", "z"}, "abab": set(), "thue_morse": set()}
+        for name, s in corpus.items():
+            assert Analysis(s).irrational_letters == expected[name]
+            self._check(dict(s.rules))
+
+    def test_seeded_rules(self):
+        rules = _random_primitive_rules(random.Random(30), 60)
+        for r in rules:
+            self._check(r)
+        irrational = sum(len(Analysis(Substitution.from_rules(r)).irrational_letters)
+                         for r in rules)
+        assert 100 < irrational < sum(map(len, rules))
+
+    @given(st.integers(2, 4).flatmap(lambda k: st.lists(
+        st.text("abcd"[:k], min_size=1, max_size=4), min_size=k, max_size=k)))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_rules(self, images):
+        rules = dict(zip("abcd", images))
+        assume(is_primitive(substitution_matrix(Substitution.from_rules(rules))) is not None)
+        self._check(rules)
+
+    def test_not_primitive_or_rational_lambda_has_none(self, abab):
+        assert Analysis(parse_substitution("a->ab\nb->b")).irrational_letters == set()
+        assert Analysis(parse_substitution("a->aab\nb->bba")).irrational_letters == set()
+
+    def test_rational_letter_under_irrational_lambda_is_scanned(self, monkeypatch):
+        # lambda = (3 + sqrt5)/2, frequencies (1/2, (3 - sqrt5)/4, (sqrt5 - 1)/4)
+        s = parse_substitution("a -> ca\nb -> ab\nc -> aabc")
+        analysis = Analysis(s)
+        assert analysis.irrational_letters == {"b", "c"}
+        assert _rational_frequency_letters(dict(s.rules)) == {"a"}
+        scanned = []
+        detect = periodicity.detect_period
+        for module in (substitutions, genfun):
+            monkeypatch.setattr(module, "detect_period",
+                                lambda seq, *b: scanned.append(seq) or detect(seq, *b))
+        verdicts = {(a, kind): genfun.series_verdict_of(analysis, a, kind)
+                    for a in "abc" for kind in (genfun.CHARACTERISTIC, genfun.POSITION)}
+        # one scan of a's indicator and one of its gaps, none for b or c
+        assert len(scanned) == 2 and scanned[0] == analysis.indicator("a")
+        # as before the skip: no letter has a witness, and three are undecided
+        assert set(verdicts.values()) == {InconclusiveUpTo(1000, 200)}
