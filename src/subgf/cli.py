@@ -190,7 +190,6 @@ def _period(args) -> int:
         raise SubgfError(f"letter {args.letter!r} not in alphabet")
     analysis = Analysis(s, None, (args.max_preperiod, args.max_period))
     witness = analysis.witness(args.letter)
-    indicator = analysis.indicator(args.letter)
     payload = {
         "letter": args.letter,
         "bounds": {
@@ -199,7 +198,9 @@ def _period(args) -> int:
         },
         "witness": witness_json(witness) if witness else None,
         "rational_form": (
-            rational_form_json(rational_form_from_witness(indicator, witness))
+            rational_form_json(
+                rational_form_from_witness(analysis.indicator(args.letter), witness)
+            )
             if witness
             else None
         ),

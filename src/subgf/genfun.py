@@ -6,6 +6,14 @@ Series, positions and verdicts read the prefix, PF data, witnesses and the
 aperiodicity verdict from a `substitutions.Analysis`, which derives each once;
 the public `(s, seed)` forms build a fresh one.
 
+A position verdict is read off the letter's indicator.  If the indicator has
+minimal period D and c 1s in each period, the gaps [0, g1, g2, ...] of its
+positions (the position series times 1 - X) have minimal preperiod exactly 2
+and minimal period exactly c: they repeat from g2 on as pos[k + c] = pos[k] +
+D; g0 = 0 is below every later gap; and a period c' of the gaps from g2 is a
+period D' of the indicator with c' 1s in [0, D'), so c' >= c and g[1 + c'] =
+g1 + D' - pos[c'] > g1.  So no gap sequence is searched.
+
 Everything here is exact: series are integer sequences, certificate
 numerators are integer polynomials, and there is no floating point.
 """
@@ -136,36 +144,6 @@ def _scan_positions(
         ones = _occurrences(analysis, letter, n_terms, scan_bound)
     hits = compress(count(), ones)
     return TruncatedSeries.from_coefficients([0, *islice(hits, n_terms)])
-
-
-GAP_WINDOW = 1 << 16  # bytes of a 0/1 indicator that `_gaps` splits at a time
-_PLUS_ONE = bytes(range(1, 256)) + b"\x00"  # translate table of r -> r + 1
-
-
-def _gaps(ones: bytes, n_terms: int) -> Union[bytes, list]:
-    """The differenced position series [0, r0, r1 + 1, r2 + 1, ...] of the
-    first n_terms 1s of a 0/1 indicator that holds them, where r_k is the
-    length of the k-th run of 0s before a 1.  The runs come from
-    `bytes.split` over windows of GAP_WINDOW bytes, the run that crosses a
-    window's end carried into the next, so only one window's pieces are
-    objects at a time.  Bytes that are the gap values themselves when every
-    gap is below 256, else a list of ints."""
-    runs, carry, at = [], 0, 0
-    while len(runs) < n_terms and at < len(ones):
-        k = len(runs)
-        runs += map(len, ones[at : at + GAP_WINDOW].split(b"\x01"))
-        runs[k] += carry
-        carry = runs.pop()  # the window's last run, unfinished
-        at += GAP_WINDOW
-    del runs[n_terms:]
-    try:
-        rl = bytearray(runs)
-    except ValueError:  # a run of 256 or more 0s
-        pass
-    else:
-        if rl.find(255, 1) < 0:  # and no gap r + 1 = 256
-            return b"\x00" + rl[:1] + rl[1:].translate(_PLUS_ONE)
-    return [0, *runs[:1], *(r + 1 for r in runs[1:])]
 
 
 def _level_table(images: dict, table: dict, level: int) -> dict:
@@ -314,10 +292,17 @@ def series_verdict_of(
     letter indicators sum to the all-ones sequence.  Everything else is
     inconclusive.
 
-    The position series is decided on its gaps, the series times (1 - X):
-    `_gaps` reads them from the zero runs of the letter's 0/1 bytes, and
-    the positions are read, by `_scan_positions` on the same bytes, only to
-    re-check a witness's certificate.
+    The position series has the witness (2, c) when the indicator has
+    minimal period D with c <= max period 1s per period (the module
+    docstring proves it), and none at max preperiod 0 or 1.  D is the
+    characteristic witness's period when there is one.  Otherwise c <= max
+    period forces D = pos[1 + c] - pos[1] <= B = pos[1 + max period] - pos[1],
+    read from the first max period + 1 occurrences, and one `detect_period`
+    with max period B over max(need, 10 B) letters returns D itself: by Fine
+    and Wilf a smaller period of those letters would, with D, give a period
+    gcd < D of the indicator.  A period it returns counts only when
+    `has_period` proves it.  The certificate comes from the gaps of the
+    searched bytes and is re-checked on their positions.
 
     Either witness is a proved period of the letter's indicator, which then
     has a rational frequency: a letter of `analysis.irrational_letters` has
@@ -337,23 +322,25 @@ def series_verdict_of(
         if w is not None:
             form = rational_form_from_witness(analysis.indicator(letter), w)
             return Rational(form, w)
-    elif letter not in analysis.irrational_letters:
-        # position kind: the gaps are bounded, so they take finitely many
-        # values; detect on them, then multiply the certificate back by
-        # 1/(1 - X) and re-check it on the positions
-        try:
-            ones = _occurrences(analysis, letter, analysis.need)
-        except InsufficientOccurrencesError:
-            return inconclusive
-        gaps = _gaps(ones, analysis.need)
-        w = detect_period(gaps, *analysis.bounds)
-        # gaps repeat from index 2 iff the indicator has period D = one period's sum
-        if w and analysis.has_period(
-            letter, sum(gaps[max(w.preperiod, 2) :][: w.period])
-        ):
-            base = rational_form_from_witness(gaps, w)
+    elif analysis.bounds[0] >= 2 and letter not in analysis.irrational_letters:
+        # position kind: the minimal period D of the indicator, then the
+        # gaps' witness (2, c), its certificate times 1/(1 - X) re-checked
+        # on the positions of the same bytes
+        w = analysis.witness(letter)
+        if w is not None:
+            ones, d = analysis.indicator(letter), w.period
+        else:
+            m = analysis.bounds[1]
+            pos = _scan_positions(analysis, letter, m + 1).coefficients
+            span = pos[m + 1] - pos[1]
+            ones = _zero_one(analysis.prefix(max(analysis.need, 10 * span)), letter)
+            v = detect_period(ones, 0, span)
+            d = v.period if v and analysis.has_period(letter, v.period) else None
+        if d is not None:
+            w = PeriodWitness(2, ones[:d].count(1))
+            pos = _scan_positions(analysis, letter, ones.count(1), ones=ones)
+            base = rational_form_from_witness(difference_transform(pos, 1).coefficients, w)
             form = RationalForm(base.numerator, base.period, summatory_power=1)
-            pos = _scan_positions(analysis, letter, analysis.need, ones=ones)
             if form.expand(pos.order).coefficients != pos.coefficients:
                 raise WitnessInvalidError("position re-expansion failed")
             return Rational(form, w)

@@ -444,7 +444,7 @@ def _zero_one(word: str, letter: str) -> bytes:
     """The letter's 0/1 indicator over the word, one byte (0 or 1) per
     letter, by one `bytes.translate`: words are ASCII, since letters are.
     `detect_period` reads it as ids as it is; the position series reads its
-    zero runs (`genfun._gaps`) or, by `compress`, its 1s."""
+    1s by `compress`."""
     table = bytearray(256)
     table[ord(letter)] = 1
     return word.encode("ascii").translate(table)

@@ -283,6 +283,76 @@ def test_gaps_over_255_pinned(capsys, tmp_path):
     )
 
 
+# a position witness (2, 1) with no characteristic one at (3, 2): every
+# letter's indicator has period 3; and a rule file whose rare letter d
+# (frequency about 1/21) the position verdict once scanned for 10**6
+# occurrences at --max-period 100000, past the prefix limit
+CASE_III = "a -> ba\nb -> ac\nc -> cb\n"
+RARE = "a -> eda\nb -> bee\nc -> ccbe\nd -> cb\ne -> ca\n"
+
+
+def test_position_witness_without_a_characteristic_one_pinned(capsys, tmp_path):
+    # recorded with the position verdict searching the gaps
+    path = tmp_path / "c3.sub"
+    path.write_text(CASE_III)
+    code, out, _ = run(capsys, "analyze", str(path), "--max-preperiod", "3",
+                       "--max-period", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e9962097d1f6be24fdf5a22bf284d37fd4ec0cdff610cc14360c2d0c9a529426"
+    )
+    for verdicts in json.loads(out)["series"].values():
+        assert verdicts["characteristic"]["kind"] == "inconclusive"
+        assert verdicts["position"]["witness"] == {"preperiod": 2, "period": 1}
+
+
+def test_rare_letter_needs_no_long_scan(capsys, monkeypatch, tmp_path):
+    # at max preperiod 0 no position witness exists, so nothing past the
+    # 10**6-letter characteristic search is built (the gap search asked for
+    # 16 * 10**6 letters and exited 2)
+    path = tmp_path / "rare.sub"
+    path.write_text(RARE)
+    longest, prefix = [0], substitutions.Analysis.prefix
+
+    def recorded(self, n):
+        longest[0] = max(longest[0], n)
+        return prefix(self, n)
+
+    monkeypatch.setattr(substitutions.Analysis, "prefix", recorded)
+    code, out, err = run(capsys, "analyze", str(path), "--max-preperiod", "0",
+                         "--max-period", "100000")
+    assert code == 0 and err == ""
+    assert longest[0] == 10**6
+    for verdicts in json.loads(out)["series"].values():
+        assert {v["kind"] for v in verdicts.values()} == {"inconclusive"}
+
+
+def test_verdict_searches_are_pinned(capsys, tmp_path):
+    # the sha256 of every exit code and stdout of `analyze` on the corpus,
+    # CASE_III and RARE at five bound sets, recorded with the position
+    # verdict searching the gaps: a change to either verdict search shows
+    paths = [DATA / f"{name}.sub" for name in ("abab", "fib", "thue_morse", "xyz")]
+    for name, rules in (("c3", CASE_III), ("rare", RARE)):
+        paths.append(tmp_path / f"{name}.sub")
+        paths[-1].write_text(rules)
+    digest = hashlib.sha256()
+    for pre, per in (("1000", "200"), ("0", "5"), ("3", "2"), ("0", "1"), ("2", "1")):
+        for path in paths:
+            code, out, _ = run(capsys, "analyze", str(path), "--max-preperiod", pre,
+                               "--max-period", per)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "cc09d6722c1a85c46a223bf936965cd51b29dcbf5964e458fb805f995501ad16"
+    )
+
+
+def test_period_of_an_irrational_letter_streams_no_word(capsys, monkeypatch):
+    counts = _count_facts(monkeypatch)
+    code, out, _ = run(capsys, "period", str(DATA / "fib.sub"), "--letter", "a")
+    assert code == 0 and json.loads(out)["witness"] is None
+    assert counts["_blocks"] == 0
+
+
 class TestRoots:
     def test_level_one(self, capsys):
         code, out, _ = run(capsys, "roots", "--level", "1", "--tol", "1e-6")
@@ -395,7 +465,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
     def test_each_fact_computed_once(self, capsys, monkeypatch, name):
-        irrational = {"fib": "ab", "xyz": "xz", "abab": "", "thue_morse": ""}[name]
+        irrational = IRRATIONAL[name]
         counts = _count_facts(monkeypatch)
         code, out, _ = run(capsys, "analyze", str(DATA / f"{name}.sub"))
         assert out == (GOLDEN / f"{name}.json").read_text()
@@ -406,28 +476,41 @@ class TestAnalyze:
         assert counts["is_primitive"] == 1
         # the PF enclosure from the located cell, with no bisection
         assert counts["isolate_max_root"] == 0
-        # one scan per letter for each kind, none for a letter whose
-        # frequency is irrational, and none for the word
-        assert counts["detect_period"] == 2 * (k - len(irrational))
-        # the word is streamed, and sigma**p and the gap bound are built
-        # (one length recurrence, one rule table), once and only if some
-        # letter is scanned
+        # one scan per letter whose frequency is rational, and one more for
+        # each such letter without a characteristic witness (its position
+        # verdict's one search); none for the word
+        unwitnessed = _unwitnessed(name, json.loads(out)["series"])
+        assert counts["detect_period"] == k - len(irrational) + unwitnessed
+        # the word is streamed and sigma**p built (one rule table) once and
+        # only if some letter is scanned; the gap bound (one length
+        # recurrence) only for the span of a position search
         assert counts["_blocks"] == scanned
-        assert counts["image_lengths"] == scanned
+        assert counts["image_lengths"] == (unwitnessed > 0)
         assert counts["MappingProxyType"] == 1
         s = substitutions.parse_substitution((DATA / f"{name}.sub").read_text())
         assert substitutions.Analysis(s).irrational_letters == set(irrational)
 
     @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
     def test_positions_built_only_for_witnesses(self, capsys, monkeypatch, name):
-        # position verdicts are decided on the gaps; positions are read only
-        # to re-check a witness, once per rational position verdict
+        # positions are read once per rational position verdict, to re-check
+        # its certificate, and once per rational-frequency letter without a
+        # characteristic witness, for the span of its period search
         counts = _count_facts(monkeypatch)
         code, out, _ = run(capsys, "analyze", str(DATA / f"{name}.sub"))
         assert out == (GOLDEN / f"{name}.json").read_text()
         series = json.loads(out)["series"]
         rational = sum(v["position"]["kind"] == "rational" for v in series.values())
-        assert counts["_scan_positions"] == rational
+        assert counts["_scan_positions"] == rational + _unwitnessed(name, series)
+
+
+IRRATIONAL = {"fib": "ab", "xyz": "xz", "abab": "", "thue_morse": ""}  # per corpus file
+
+
+def _unwitnessed(name: str, series: dict) -> int:
+    """The corpus file's letters of rational frequency without a
+    characteristic witness, whose position verdicts search."""
+    return sum(series[a]["characteristic"]["kind"] != "rational"
+               for a in series if a not in IRRATIONAL[name])
 
 
 def _count_facts(monkeypatch) -> dict:

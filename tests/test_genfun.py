@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +13,6 @@ from subgf.errors import (
 )
 from subgf.genfun import (
     CHARACTERISTIC,
-    GAP_WINDOW,
     POSITION,
     Rational,
     RationalForm,
@@ -30,8 +28,6 @@ from subgf.genfun import (
     recursive_pos_poly,
     series_verdict,
     summatory_transform,
-    _gaps,
-    _occurrences,
     _scan_positions,
 )
 from subgf.periodicity import PeriodWitness, detect_period, verify_witness
@@ -422,73 +418,45 @@ def primitive_substitutions(draw):
     return s
 
 
-def _wide(k: int) -> Substitution:
-    """a -> a**k b, b -> a: the runs of a's before each b are k and k + 1."""
-    return Substitution.from_rules({"a": "a" * k + "b", "b": "a"})
+def _fixed_word(s: Substitution, n: int) -> str:
+    """The first n letters of the fixed word of sigma**p from a, for the
+    smallest p at which some sigma**p(a) starts with a and is longer than
+    a (the first such a in alphabet order), by plain string substitution."""
+    images = dict(s.rules)  # sigma**p of every letter
+    while not (seeds := [a for a, w in images.items() if w[0] == a and len(w) > 1]):
+        images = {a: "".join(map(s.rules.__getitem__, w)) for a, w in images.items()}
+    word = seeds[0]
+    while len(word) < n:
+        word = "".join(map(images.__getitem__, word))
+    return word[:n]
 
 
-class TestGaps:
-    """`_gaps`, the position verdict's differenced series from zero runs,
-    against `difference_transform` of the positions."""
+def _least_witness(seq, max_preperiod, max_period):
+    """Smallest period, then smallest preperiod, of seq within the bounds."""
+    for d in range(1, max_period + 1):
+        for p in range(max_preperiod + 1):
+            if seq[p + d :] == seq[p : len(seq) - d]:
+                return PeriodWitness(p, d)
+    return None
+
+
+class TestPositionWitness:
+    """The position verdict's witness against the least witness of the gaps
+    of the fixed word's positions, computed here from a plain expansion."""
 
     @given(
         primitive_substitutions(),
-        st.integers(0, 3000),
-        st.one_of(st.integers(1, 64), st.just(GAP_WINDOW)),
+        st.sampled_from([(3, 2), (2, 1), (2, 2), (5, 3), (1, 3)]),
         st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_match_differenced_positions(self, s, n, window, data):
+    def test_matches_brute_force_gaps(self, s, bounds, data):
         letter = data.draw(st.sampled_from(s.alphabet))
-        analysis = Analysis(s)
-        expected = difference_transform(_scan_positions(analysis, letter, n), 1).coefficients
-        with patch.object(genfun, "GAP_WINDOW", window):
-            gaps = _gaps(_occurrences(analysis, letter, n), n)
-        assert list(gaps) == list(expected)
-        assert isinstance(gaps, bytes) == (max(expected) < 256)
-        if n >= 10:
-            max_period = data.draw(st.integers(1, (n + 1) // 10))
-            max_preperiod = data.draw(st.integers(0, n + 1 - 10 * max_period))
-            assert detect_period(gaps, max_preperiod, max_period) == detect_period(
-                list(expected), max_preperiod, max_period
-            )
-
-    @pytest.mark.parametrize("k, wide", [(253, False), (254, True), (255, True), (300, True)])
-    def test_byte_limit(self, k, wide):
-        # runs of k and k + 1 zeros: gaps up to k + 2, one byte while below 256
-        analysis = Analysis(_wide(k))
-        n = analysis.need
-        gaps = _gaps(_occurrences(analysis, "b", n), n)
-        expected = difference_transform(_scan_positions(analysis, "b", n), 1).coefficients
-        assert list(gaps) == list(expected)
-        assert gaps[1] == k and max(gaps) == k + 2
-        assert isinstance(gaps, list) == wide
-        for bounds in (analysis.bounds, (0, 300)):
-            assert detect_period(gaps, *bounds) == detect_period(list(expected), *bounds)
-
-    def test_letter_at_position_zero(self, fib):
-        gaps = _gaps(_occurrences(Analysis(fib), "a", 5), 5)
-        assert gaps == bytes([0, 0, 2, 1, 2, 2])
-
-    @pytest.mark.parametrize("first, rest, wide", [
-        (255, 254, False), (256, 254, True), (0, 255, True), (255, 0, False),
-    ])
-    def test_first_run_is_not_shifted(self, first, rest, wide):
-        ones = b"\x00" * first + b"\x01" + (b"\x00" * rest + b"\x01") * 3
-        gaps = _gaps(ones, 4)
-        assert list(gaps) == [0, first] + [rest + 1] * 3
-        assert isinstance(gaps, list) == wide
-
-    def test_runs_across_window_edges(self):
-        # one run ends just past the first window, one spans the whole
-        # second window, and the window holding the last 1 ends in 0s
-        cut = GAP_WINDOW
-        ones = bytearray(4 * cut)
-        for p in (5, cut + 2, 3 * cut + 7, 3 * cut + 9):
-            ones[p] = 1
-        assert _gaps(bytes(ones), 4) == [0, 5, cut - 3, 2 * cut + 5, 2]
-        assert _gaps(bytes(ones), 2) == [0, 5, cut - 3]
-        assert _gaps(bytes(ones), 0) == b"\x00"
+        pos = [i for i, ch in enumerate(_fixed_word(s, 20_000)) if ch == letter]
+        gaps = [0, pos[0], *(b - a for a, b in zip(pos, pos[1:]))]
+        v = series_verdict(s, None, letter, POSITION, bounds)
+        got = v.witness if isinstance(v, Rational) else None
+        assert got == _least_witness(gaps, *bounds)
 
 
 class TestRationalForm:
