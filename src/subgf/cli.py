@@ -25,7 +25,7 @@ from .genfun import (
     rational_form_from_witness,
     series_verdict_of,
 )
-from .quadratic import _decimal_str
+from .quadratic import _decimal_column
 from .serialize import (
     aperiodicity_json,
     canonical_dumps,
@@ -252,7 +252,7 @@ def _geom(args) -> int:
         _write_csv(
             "index,exact,decimal50",
             map(exact_str, ps, qs, repeat(c), repeat(d), repeat("")),
-            map(_decimal_str, ps, qs, repeat(c), repeat(d), repeat(50)),
+            _decimal_column(ps, qs, c, d, 50),
         )
         return EXIT_OK
     payload = {

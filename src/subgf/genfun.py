@@ -298,11 +298,13 @@ def series_verdict_of(
     characteristic witness's period when there is one.  Otherwise c <= max
     period forces D = pos[1 + c] - pos[1] <= B = pos[1 + max period] - pos[1],
     read from the first max period + 1 occurrences, and one `detect_period`
-    with max period B over max(need, 10 B) letters returns D itself: by Fine
-    and Wilf a smaller period of those letters would, with D, give a period
-    gcd < D of the indicator.  A period it returns counts only when
-    `has_period` proves it.  The certificate comes from the gaps of the
-    searched bytes and is re-checked on their positions.
+    with max period B over max(need, 2 B) letters, the two periods of its
+    Fine and Wilf bound, returns D itself: the indicator is purely periodic
+    when it is periodic at all.  A period it returns counts only when
+    `has_period` proves it.  The certificate comes from the gaps over the
+    searched bytes, or over 3 D letters if those are fewer (the certificate
+    reads 2 + 2c gaps, which 3 periods hold), and is re-checked on their
+    positions.
 
     Either witness is a proved period of the letter's indicator, which then
     has a rational frequency: a letter of `analysis.irrational_letters` has
@@ -333,9 +335,11 @@ def series_verdict_of(
             m = analysis.bounds[1]
             pos = _scan_positions(analysis, letter, m + 1).coefficients
             span = pos[m + 1] - pos[1]
-            ones = _zero_one(analysis.prefix(max(analysis.need, 10 * span)), letter)
-            v = detect_period(ones, 0, span)
+            ones = _zero_one(analysis.prefix(max(analysis.need, 2 * span)), letter)
+            v = detect_period(ones, 0, span, periods=2)
             d = v.period if v and analysis.has_period(letter, v.period) else None
+            if d and len(ones) < 3 * d:
+                ones = _zero_one(analysis.prefix(3 * d), letter)
         if d is not None:
             w = PeriodWitness(2, ones[:d].count(1))
             pos = _scan_positions(analysis, letter, ones.count(1), ones=ones)

@@ -4,9 +4,10 @@ A value a + b*sqrt(D) is held in integer form (p + q*sqrt(D)) / c with
 c > 0, gcd(p, q, c) = 1 and a square-free radicand D >= 2 (Cohen 1993,
 GTM 138, ch. 4); sqrt(D) is irrational, so this form is unique.  a and b are
 read as `Fraction` properties.  Arithmetic, signs and comparisons run on the
-integers, the floor of a scaled value is one integer square root, and no
-floating point is involved.  The radicand is validated where a user
-constructs a value; arithmetic results inherit it.
+integers, and no floating point is involved.  The floor of one scaled value
+is one integer square root; a column of decimals over one radicand shares
+one root, and costs one multiply-add and one `divmod` a row.  The radicand
+is validated where a user constructs a value; arithmetic results inherit it.
 """
 from __future__ import annotations
 
@@ -255,6 +256,41 @@ def _decimal_str(p: int, q: int, c: int, d, digits: int) -> str:
     neg = _sign(p, q, d) < 0
     if neg:
         p, q = -p, -q
-    s = str(_floor_scaled(p, q, c, d, digits)).rjust(digits + 1, "0")
+    return _fixed_point(_floor_scaled(p, q, c, d, digits), neg, digits)
+
+
+def _fixed_point(k: int, neg: bool, digits: int) -> str:
+    """k = floor(|x| * 10**digits) as x's `_decimal_str`, with "-" if x < 0."""
+    s = str(k).rjust(digits + 1, "0")
     out = f"{s[:-digits]}.{s[-digits:]}" if digits else s
     return "-" + out if neg else out
+
+
+_GUARD = 20  # guard digits of the root that `_decimal_column` shares
+
+
+def _decimal_column(ps, qs, c: int, d, digits: int):
+    """`_decimal_str(p, q, c, d, digits)` for each p, q of ps, qs in turn,
+    with one integer square root for the whole column.
+
+    With t = 10**(digits + _GUARD) and S = isqrt(d*t*t), S <= sqrt(d)*t <
+    S + 1, so y = p*t + q*sqrt(d)*t, which is x * 10**digits times m =
+    c * 10**_GUARD for x = (p + q*sqrt(d)) / c, lies in [lo, lo + |q|]
+    with lo = p*t + q*S for q >= 0 and p*t + q*(S + 1) for q < 0.  If
+    lo < 0, then -y lies in [-lo - |q|, -lo], which reaches above 0.  When
+    the bracket lies in one [k*m, (k + 1)*m), k = floor(|x| * 10**digits);
+    otherwise, for |q| near m or more or x within |q|/m of 0, the row falls
+    back to `_decimal_str`.  d is unused when every q is 0."""
+    t = 10 ** (digits + _GUARD)
+    root = isqrt(d * t * t) if d else 0
+    m = c * 10**_GUARD
+    for p, q in zip(ps, qs):
+        lo, width = (p * t + q * root, q) if q >= 0 else (p * t + q * (root + 1), -q)
+        neg = lo < 0
+        if neg:
+            lo = -lo - width
+        k, r = divmod(lo, m)
+        if r + width < m:
+            yield _fixed_point(k, neg, digits)
+        else:
+            yield _decimal_str(p, q, c, d, digits)

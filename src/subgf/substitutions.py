@@ -18,7 +18,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import (
     DuplicateRuleError,
@@ -345,27 +345,7 @@ def fixed_point_seed(
     raise NoGrowingFixedPointError("no growing fixed point exists")
 
 
-_PIECE = 4096  # letters of B_k whose images make one piece of B_{k+1}
-
-
-def _blocks(table: Mapping[str, str], a0: str) -> Iterator[str]:
-    """The fixed word in pieces, from `table`, sigma**p of every letter:
-    a0, then the blocks B_0 = u and B_{k+1} = sigma^p(B_k), where
-    sigma^p(a0) = a0 + u.  Each block is yielded as the images of _PIECE
-    letters of the one before, so a reader overshoots by at most one such
-    piece."""
-    head = table[a0]
-    if not head.startswith(a0) or len(head) < 2:
-        raise ValueError("invalid seed for this substitution")
-    yield a0
-    block = head[1:]
-    yield block
-    while True:
-        pieces = []
-        for i in range(0, len(block), _PIECE):
-            pieces.append("".join(map(table.__getitem__, block[i : i + _PIECE])))
-            yield pieces[-1]
-        block = "".join(pieces)
+_WHOLE = 1 << 16  # longest block above level 1 that `Analysis.prefix` appends whole
 
 
 def fixed_word_prefix(s: Substitution, seed: FixedPointSeed, n: int) -> str:
@@ -408,8 +388,9 @@ AperiodicityVerdict = Union[AperiodicByIrrationalPF, EventuallyPeriodic, Inconcl
 DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
 # Largest base prefix max_preperiod + 10 * max_period that an Analysis
 # accepts; larger bounds raise TooLargeError up front.  10**6 letters take
-# about 0.8 s and 73 MB peak RSS for `analyze` on xyz, 0.43 s and 49 MB on
-# fib, and 0.34 s and 38 MB on Thue-Morse (2-vCPU VM, best of 3).
+# about 0.26 s and 53 MB peak RSS for `analyze` on xyz, 0.08 s and 20 MB on
+# fib, and 0.09 s and 23 MB on Thue-Morse (2-vCPU VM, best of 3 fresh
+# processes).
 MAX_SEARCH_LETTERS = 10**6
 # Largest prefix of the fixed word that an Analysis builds (`expand --n`,
 # the orders of `series` and `geom`), and largest sum of block(b) + block(c)
@@ -453,7 +434,9 @@ def _zero_one(word: str, letter: str) -> bytes:
 class Analysis:
     """The facts derived from a substitution, a seed (by default
     `fixed_point_seed`) and bounds (max preperiod, max period), each on first
-    use; every prefix comes from one growing copy of the fixed word."""
+    use.  Words come from the blocks sigma**(p*j)(b), p the seed's power,
+    each joined at most once from the blocks of its image one level down
+    (`_block`); their lengths come from integer size tables first."""
 
     def __init__(self, s: Substitution, seed=None, bounds=DEFAULT_BOUNDS):
         self.substitution, self.bounds, self._seed = s, bounds, seed
@@ -463,7 +446,6 @@ class Analysis:
                 f"period search over {self.need} letters exceeds the limit "
                 f"of {MAX_SEARCH_LETTERS}"
             )
-        self._word, self._pieces = "", None
         self._witness: dict[str, Optional[PeriodWitness]] = {}
 
     @cached_property
@@ -496,25 +478,91 @@ class Analysis:
         lengths = self.substitution.image_lengths(self.primitivity_witness)
         return 2 * max(lengths.values())
 
+    @cached_property
+    def _size_levels(self) -> list[dict[str, int]]:
+        """Level j: letter b -> |sigma**(p*j)(b)|, levels added on demand."""
+        return [dict.fromkeys(self.power_table, 1)]
+
+    @cached_property
+    def _block_levels(self) -> list[dict[str, str]]:
+        """Level j: letter b -> sigma**(p*j)(b), blocks built on demand."""
+        return [{a: a for a in self.power_table}, self.power_table]
+
+    def _sizes(self, level: int) -> dict[str, int]:
+        """|sigma**(p*level)(b)| for every letter b, from the level below."""
+        sizes, table = self._size_levels, self.power_table
+        while len(sizes) <= level:
+            below = sizes[-1]
+            sizes.append({a: sum(map(below.__getitem__, w)) for a, w in table.items()})
+        return sizes[level]
+
+    def _build(self, letter: str, level: int) -> None:
+        """Join sigma**(p*level)(letter) from the blocks of its image one
+        level down, which must be built."""
+        blocks, image = self._block_levels, self.power_table[letter]
+        blocks[level][letter] = "".join(map(blocks[level - 1].__getitem__, image))
+
+    def _block(self, letter: str, level: int) -> str:
+        """sigma**(p*level)(letter), built with every missing block below it
+        that it is joined from, each once; by an explicit stack, since
+        slow-growing rules can need hundreds of levels."""
+        blocks, table = self._block_levels, self.power_table
+        while len(blocks) <= level:
+            blocks.append({})
+        stack = [(letter, level)]
+        while stack:
+            a, j = stack[-1]
+            if a in blocks[j]:
+                stack.pop()
+                continue
+            below = blocks[j - 1]
+            missing = [(b, j - 1) for b in dict.fromkeys(table[a]) if b not in below]
+            if missing:
+                stack += missing
+            else:
+                self._build(a, j)
+                stack.pop()
+        return blocks[level][letter]
+
     def prefix(self, n: int) -> str:
-        """The first n letters of the fixed word; resolves the seed even if n = 0."""
+        """The first n letters of the fixed word; resolves the seed even if n = 0.
+
+        x begins with sigma**(p*K)(a0) for the least K with
+        |sigma**(p*K)(a0)| >= n, found from the size tables.  The walk reads
+        that block's tree left to right: a block that fits in what is left
+        is appended whole if it is a letter, a sigma**p image or at most
+        _WHOLE letters long, and is otherwise replaced by the blocks of its
+        image one level down, so the walk descends into the one block that
+        crosses n.  No block a prefix builds is longer than _WHOLE, so memory
+        is the n letters and a memo of short blocks, however far another
+        letter's blocks outgrow the seed's."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         if n > MAX_EXTENDED_LETTERS:
             raise TooLargeError(
                 f"prefix of {n} letters exceeds the limit of {MAX_EXTENDED_LETTERS}"
             )
-        seed = self.seed
-        if len(self._word) < n:
-            self._pieces = self._pieces or _blocks(self.power_table, seed.start_letter)
-            parts, have = [self._word], len(self._word)
-            for piece in self._pieces:
-                parts.append(piece)
-                have += len(piece)
-                if have >= n:
-                    break
-            self._word = "".join(parts)
-        return self._word[:n]
+        a = self.seed.start_letter
+        if not n:
+            return ""
+        table = self.power_table
+        if not table[a].startswith(a) or len(table[a]) < 2:
+            raise ValueError("invalid seed for this substitution")
+        level = 0
+        while self._sizes(level)[a] < n:
+            level += 1
+        parts, left, stack = [], n, [(iter(a), level)]
+        while left:
+            letters, j = stack[-1]
+            b = next(letters, None)
+            if b is None:
+                stack.pop()
+            elif (size := self._sizes(j)[b]) <= left and (j <= 1 or size <= _WHOLE):
+                parts.append(self._block(b, j))
+                left -= size
+            else:
+                stack.append((iter(table[b]), j - 1))
+        return "".join(parts)
 
     def indicator(self, letter: str) -> bytes:
         """The letter's `_zero_one` bytes over the first `need` letters."""
@@ -539,17 +587,15 @@ class Analysis:
         block(b) + block(c) for a pair bc, so checking those pairs is a proof."""
         if self.primitivity_witness is None:
             raise NotPrimitiveError("substitution is not primitive")
-        table, sizes = self.power_table, dict.fromkeys(self.power_table, 1)
-        while min(sizes.values()) < d:
-            sizes = {a: sum(map(sizes.__getitem__, w)) for a, w in table.items()}
+        level = 0
+        while min(self._sizes(level).values()) < d:
+            level += 1
+        sizes = self._sizes(level)
         n = sum(sizes[b] + sizes[c] for b, c in self.pairs)
         if n > MAX_EXTENDED_LETTERS:
             raise TooLargeError(f"period proof over {n} letters exceeds the "
                                 f"limit of {MAX_EXTENDED_LETTERS}")
-        blocks = {a: a for a in table}
-        while min(map(len, blocks.values())) < d:
-            blocks = {a: "".join(map(blocks.__getitem__, w)) for a, w in table.items()}
-        ones = {a: _zero_one(w, letter) for a, w in blocks.items()}
+        ones = {a: _zero_one(self._block(a, level), letter) for a in sizes}
         return all((u := ones[b] + ones[c])[d:] == u[:-d] for b, c in self.pairs)
 
     @cached_property

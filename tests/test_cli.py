@@ -350,7 +350,7 @@ def test_period_of_an_irrational_letter_streams_no_word(capsys, monkeypatch):
     counts = _count_facts(monkeypatch)
     code, out, _ = run(capsys, "period", str(DATA / "fib.sub"), "--letter", "a")
     assert code == 0 and json.loads(out)["witness"] is None
-    assert counts["_blocks"] == 0
+    assert counts["prefix"] == counts["_build"] == 0
 
 
 class TestRoots:
@@ -481,10 +481,11 @@ class TestAnalyze:
         # verdict's one search); none for the word
         unwitnessed = _unwitnessed(name, json.loads(out)["series"])
         assert counts["detect_period"] == k - len(irrational) + unwitnessed
-        # the word is streamed and sigma**p built (one rule table) once and
-        # only if some letter is scanned; the gap bound (one length
-        # recurrence) only for the span of a position search
-        assert counts["_blocks"] == scanned
+        # fixed-word blocks are built, each (letter, level) once, and sigma**p
+        # (one rule table) once, only if some letter is scanned; the gap
+        # bound (one length recurrence) only for the span of a position search
+        assert (counts["_build"] > 0) == scanned
+        assert len(set(counts["built"])) == len(counts["built"])
         assert counts["image_lengths"] == (unwitnessed > 0)
         assert counts["MappingProxyType"] == 1
         s = substitutions.parse_substitution((DATA / f"{name}.sub").read_text())
@@ -515,13 +516,15 @@ def _unwitnessed(name: str, series: dict) -> int:
 
 def _count_facts(monkeypatch) -> dict:
     """Counters rebound around the fact-deriving functions, in every module
-    alias made by `from .x import y` as well; `_blocks` counts fixed-word
-    streams and `MappingProxyType` rule tables."""
-    counts = {}
+    alias made by `from .x import y` as well; `_build` counts the fixed-word
+    blocks joined, and "built" lists their (letter, level)s; `prefix` counts
+    fixed-word prefixes and `MappingProxyType` rule tables."""
+    counts = {"built": []}
     for owner, attr in ((substitutions, "pf_data"),
                         (substitutions, "characteristic_polynomial"),
                         (substitutions, "is_primitive"),
-                        (substitutions, "_blocks"),
+                        (substitutions.Analysis, "_build"),
+                        (substitutions.Analysis, "prefix"),
                         (substitutions, "MappingProxyType"),
                         (substitutions.Substitution, "image_lengths"),
                         (realroots, "isolate_max_root"),
@@ -532,6 +535,8 @@ def _count_facts(monkeypatch) -> dict:
 
         def counted(*args, _original=original, _attr=attr, **kwargs):
             counts[_attr] += 1
+            if _attr == "_build":
+                counts["built"].append(args[1:])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
@@ -562,12 +567,21 @@ def test_each_subcommand_reads_one_analysis(capsys, monkeypatch, argv):
     assert counts["pf_data"] <= 1
     assert counts["characteristic_polynomial"] <= 1
     assert counts["is_primitive"] == 1
-    assert counts["_blocks"] == 1
+    # the word from blocks joined each once
+    assert counts["_build"] > 0
+    assert len(set(counts["built"])) == len(counts["built"])
 
 
-# stdout sha256 of each command on the corpus at order (or n) 5000, every one
-# exiting 0: any change to these bytes is a change of output
+# stdout sha256 of each command on the corpus at order (or n) 5000, and of
+# three at large orders, every one exiting 0: any change to these bytes is a
+# change of output
 STDOUT_SHA256 = {
+    "expand fib --n 1000000":
+        "f3f82705dd588c8a6073b9918c88c15aeca9733c9e30fb562ffef28a95e4c356",
+    "geom fib --order 200000 --format csv":
+        "9f0125ab2b6a95054945a7f91fa18f833a53b25f795ae3307f77b1797f770ff7",
+    "geom xyz --order 200000 --format csv":
+        "20a6defd780467a5aef8cc1efb4494a23d49a785e5ecc9685de40efa720a9298",
     "expand fib --n 5000":
         "5bd69b6f25d798547d6d3eeab146a82455ebdb3e76b1dabb7746c142e34d3be9",
     "series fib --letter a --kind char --order 5000 --format json":

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +28,7 @@ from subgf.genfun import (
     recursive_char_poly,
     recursive_pos_poly,
     series_verdict,
+    series_verdict_of,
     summatory_transform,
     _scan_positions,
 )
@@ -391,6 +393,24 @@ class TestDetectPeriod:
         assert detect_period([1, 2] * 20, 0, 2) == PeriodWitness(0, 2)
         assert detect_period([9] + [1, 2] * 20, 0, 2) is None
 
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_two_periods_return_the_minimal_period(self, block, extra):
+        # a purely periodic sequence of minimal period D <= max_period: its
+        # first 2 * max_period values give D (Fine and Wilf), and one value
+        # fewer is refused, since the head's copy at offset D = max_period
+        # would not fit
+        d = min(k for k in range(1, len(block) + 1)
+                if block == (block[k:] + block)[: len(block)] and len(block) % k == 0)
+        max_period = d + extra
+        seq = block[:d] * (2 * max_period // d + 1)
+        assert detect_period(seq[: 2 * max_period], 0, max_period, periods=2) == (
+            PeriodWitness(0, d))
+        with pytest.raises(InsufficientDataError):
+            detect_period(seq[: 2 * max_period - 1], 0, max_period, periods=2)
+        with pytest.raises(ValueError):
+            detect_period(seq, 0, max_period, periods=1)
+
     def test_many_distinct_values(self):
         # forces the wide integer encoding path
         seq = list(range(300)) + [5, 6] * 1500
@@ -534,6 +554,29 @@ class TestVerdicts:
         gaps = [0, pos[0], *(b - a for a, b in zip(pos, pos[1:]))]
         assert detect_period(gaps[:24], 3, 2) == PeriodWitness(2, 2)
         assert not verify_witness(gaps, PeriodWitness(2, 2))
+
+    def test_position_search_reads_two_spans(self):
+        # every letter's indicator has minimal period 7 with one 1, so at
+        # (2, 1) the span B = pos[2] - pos[1] is 7 = D itself, and the search
+        # over max(need, 2 B) = 14 letters must place the head's copy at
+        # offset B; the certificate reads 2 + 2c = 4 gaps, past the 2 1s of
+        # those 14 letters
+        s = parse_substitution("".join(f"{a}->abcdefg\n" for a in "abcdefg"))
+        analysis = Analysis(s, None, (2, 1))
+        assert analysis.need == 12
+        lengths = []
+
+        def recorded(coeffs, *args, **kwargs):
+            lengths.append(len(coeffs))
+            return detect_period(coeffs, *args, **kwargs)
+
+        with mock.patch.object(genfun, "detect_period", recorded):
+            for letter in s.alphabet:
+                assert series_verdict_of(analysis, letter, CHARACTERISTIC) == (
+                    InconclusiveUpTo(2, 1))
+                v = series_verdict_of(analysis, letter, POSITION)
+                assert v.witness == PeriodWitness(2, 1) and v.form.period == 1
+        assert lengths == [14] * 7
 
     def test_requires_primitive(self):
         s = parse_substitution("a->ab\nb->b")

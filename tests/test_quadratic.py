@@ -3,10 +3,14 @@ import random
 from fractions import Fraction as F
 from math import isqrt
 
+from unittest import mock
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from subgf.quadratic import QuadraticReal as Q, is_square_free
+from subgf import quadratic
+from subgf.quadratic import QuadraticReal as Q, _decimal_column, _decimal_str, is_square_free
 
 TAU = Q(F(1, 2), F(1, 2), 5)
 
@@ -254,3 +258,75 @@ def test_rational_results_agree_with_fraction():
         half = (x + conjugate) / 2  # the rational part a
         assert half == x.a and hash(half) == hash(x.a)
         assert x - x == 0 and hash(x - x) == hash(0)
+
+
+SQUARE_FREE = [d for d in range(2, 200) if is_square_free(d)]
+
+
+@st.composite
+def decimal_columns(draw):
+    """(rows, c, d, digits): rows (p, q) of both signs over one denominator
+    c >= 1 and a square-free radicand d, or d = None with every q = 0.  Rows
+    are random, or p + q*sqrt(d) within about 1 of 0, or |q| >= 10**21 * c,
+    past the guard digits of the shared root."""
+    c = draw(st.integers(1, 10**6))
+    d = draw(st.none() | st.sampled_from(SQUARE_FREE))
+    sign = st.sampled_from([1, -1])
+    p = st.integers(-10**60, 10**60)
+    if d is None:
+        row = st.tuples(p, st.just(0))
+    else:
+        q = st.integers(-10**12, 10**12)
+        near = st.builds(lambda q, e, s: (s * (e - isqrt(d * q * q)), s * q),
+                         st.integers(1, 10**30), st.integers(-1, 1), sign)
+        wide = st.builds(lambda q, s: s * q * c, st.integers(10**21, 10**40), sign)
+        row = st.tuples(p, q) | near | st.tuples(p, wide)
+    rows = draw(st.lists(row, max_size=12))
+    return rows, c, d, draw(st.integers(0, 60))
+
+
+@given(decimal_columns())
+@settings(max_examples=300, deadline=None)
+def test_decimal_column_matches_decimal_str(column):
+    # the rows whose shared-root bracket is wider than the guard digits
+    # allow fall back to `_decimal_str`, and only those: a bracket without
+    # its width, or no guard digits, shows as a wrong or an extra fallback
+    rows, c, d, digits = column
+    ps, qs = [p for p, _ in rows], [q for _, q in rows]
+    expected = [_decimal_str(p, q, c, d, digits) for p, q in rows]
+    with mock.patch.object(quadratic, "_decimal_str", wraps=_decimal_str) as fallback:
+        assert list(_decimal_column(ps, qs, c, d, digits)) == expected
+    fell = {call.args[:2] for call in fallback.call_args_list}
+    assert all(abs(q) >= 10**10 * c for _, q in fell)
+    assert {(p, q) for p, q in rows if abs(q) >= 10**21 * c} <= fell
+
+
+def _pell(d: int, at_least: int) -> tuple[int, int]:
+    """The first x, y > at_least with x*x - d*y*y = +-1, by the continued
+    fraction of sqrt(d): y*sqrt(d) is within 1/(2x) of the integer x."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    h, h1, k, k1 = a0, 1, 1, 0
+    while not (k > at_least and abs(h * h - d * k * k) == 1):
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        h, h1, k, k1 = a * h + h1, h, a * k + k1, k
+    return h, k
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+def test_decimal_column_at_unit_boundaries(d):
+    # (e - x + y*sqrt(d)) / c is within 1/(2x) of e/c: with y near 10**10,
+    # the shared root's bracket, q = y units wide, holds or touches the
+    # boundary of a last digit at e/c, on either sign, so a bracket misplaced
+    # by its width on one side shows as a wrong digit
+    x, y = _pell(d, 10**10)
+    rows = [(s * (e - x), s * y) for e in range(-3, 4) for s in (1, -1)]
+    for c in (1, 3):
+        for digits in (0, 1, 2):
+            ps, qs = [p for p, _ in rows], [q for _, q in rows]
+            assert list(_decimal_column(ps, qs, c, d, digits)) == [
+                _decimal_str(p, q, c, d, digits) for p, q in rows
+            ]
+

@@ -504,16 +504,18 @@ class TestAnalysisPrefix:
                     assert analysis.prefix(n) == _brute_force_prefix(s, seed, n)
 
     def test_prefixes_across_many_pieces(self, corpus):
-        # growing in steps much shorter than one piece (4096 source letters),
-        # then in one jump across several pieces, on seeds of power 1 and 2
+        # lengths up and down around 4096 and around the longest block a
+        # prefix appends whole (2**16 letters), then one jump past it, on
+        # seeds of power 1 and 2
         for s, seed in [(corpus["fib"], fixed_point_seed(corpus["fib"])),
                         (corpus["xyz"], fixed_point_seed(corpus["xyz"])),
                         (parse_substitution("a->ba\nb->ab"), FixedPointSeed(2, "a"))]:
-            oracle = _brute_force_prefix(s, seed, 60_000)
+            oracle = _brute_force_prefix(s, seed, 200_000)
             analysis = Analysis(s, seed)
-            for n in (1, 4095, 4096, 4097, 3 * 4096 + 1, 5000, 60_000):
+            for n in (1, 4095, 4096, 4097, 3 * 4096 + 1, 5000, 60_000,
+                      2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 1, 200_000):
                 assert analysis.prefix(n) == oracle[:n]
-            assert fixed_word_prefix(s, seed, 60_000) == oracle
+            assert fixed_word_prefix(s, seed, 200_000) == oracle
 
     def test_positions_match_position_series(self, corpus):
         raised = 0
@@ -560,12 +562,27 @@ class TestAnalysisPrefix:
         finally:
             tracemalloc.stop()
         assert got == expected
-        assert len(analysis._word) <= n + 4096 * 1000
         assert peak < 4 * (n + 4096 * 1000)
         path = tmp_path / "hostile.sub"
         path.write_text(rules)
         assert main(["expand", str(path), "--n", str(n)]) == 0
         assert capsys.readouterr().out == expected + "\n"
+
+    def test_skewed_blocks_stay_bounded(self):
+        # sigma**j(b) outgrows sigma**j(a): the first n letters lie in
+        # sigma**5(a), of 6 * 10**6 letters, while sigma**4(b) alone has
+        # 5 * 10**6; building whole levels of every letter holds over 4 n
+        s = parse_substitution("a->ab\nb->" + "a" * 1000 + "b")
+        n = 2 * 10**6
+        expected = _brute_force_prefix(s, FixedPointSeed(1, "a"), n)
+        tracemalloc.start()
+        try:
+            got = Analysis(s).prefix(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 4 * n
 
 
 @st.composite
@@ -715,7 +732,7 @@ class TestIrrationalLetters:
         detect = periodicity.detect_period
         for module in (substitutions, genfun):
             monkeypatch.setattr(module, "detect_period",
-                                lambda seq, *b: scanned.append(seq) or detect(seq, *b))
+                                lambda seq, *b, **kw: scanned.append(seq) or detect(seq, *b, **kw))
         verdicts = {(a, kind): genfun.series_verdict_of(analysis, a, kind)
                     for a in "abc" for kind in (genfun.CHARACTERISTIC, genfun.POSITION)}
         # one scan of a's indicator and one of its gaps, none for b or c
