@@ -20,7 +20,6 @@ from .genfun import (
     TruncatedSeries,
     char_prefix_poly,
     char_series,
-    detect_period,
     difference_transform,
     position_prefix_poly,
     position_series,
@@ -39,7 +38,7 @@ from .geometric import (
     natural_lengths,
     natural_lengths_of,
 )
-from .periodicity import PeriodWitness
+from .periodicity import PeriodWitness, detect_period
 from .polynomials import ExactPolynomial
 from .quadratic import QuadraticReal
 from .realroots import ExclusionCertificate, certify_positive, isolate_max_root

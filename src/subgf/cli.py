@@ -22,7 +22,6 @@ from .genfun import (
     POSITION,
     _char_series,
     _scan_positions,
-    rational_form_from_witness,
     series_verdict_of,
 )
 from .quadratic import _decimal_column
@@ -198,9 +197,7 @@ def _period(args) -> int:
         },
         "witness": witness_json(witness) if witness else None,
         "rational_form": (
-            rational_form_json(
-                rational_form_from_witness(analysis.indicator(args.letter), witness)
-            )
+            rational_form_json(series_verdict_of(analysis, args.letter).form)
             if witness
             else None
         ),

@@ -29,7 +29,7 @@ from .errors import (
     NotPrimitiveError,
     WitnessInvalidError,
 )
-from .periodicity import PeriodWitness, detect_period, verify_witness
+from .periodicity import PeriodWitness, verify_witness
 from .polynomials import ExactPolynomial
 from .substitutions import (
     DEFAULT_BOUNDS,
@@ -297,14 +297,10 @@ def series_verdict_of(
     docstring proves it), and none at max preperiod 0 or 1.  D is the
     characteristic witness's period when there is one.  Otherwise c <= max
     period forces D = pos[1 + c] - pos[1] <= B = pos[1 + max period] - pos[1],
-    read from the first max period + 1 occurrences, and one `detect_period`
-    with max period B over max(need, 2 B) letters, the two periods of its
-    Fine and Wilf bound, returns D itself: the indicator is purely periodic
-    when it is periodic at all.  A period it returns counts only when
-    `has_period` proves it.  The certificate comes from the gaps over the
-    searched bytes, or over 3 D letters if those are fewer (the certificate
-    reads 2 + 2c gaps, which 3 periods hold), and is re-checked on their
-    positions.
+    read from the first max period + 1 occurrences, and D is
+    `analysis.period(letter, B)`.  Either certificate reads 3 D letters,
+    which hold the characteristic one's 2 D and the position one's 2 + 2c
+    gaps; the position one is re-checked on their positions.
 
     Either witness is a proved period of the letter's indicator, which then
     has a rational frequency: a letter of `analysis.irrational_letters` has
@@ -322,25 +318,19 @@ def series_verdict_of(
     if kind == CHARACTERISTIC:
         w = analysis.witness(letter)
         if w is not None:
-            form = rational_form_from_witness(analysis.indicator(letter), w)
+            form = rational_form_from_witness(analysis.indicator(letter, 3 * w.period), w)
             return Rational(form, w)
     elif analysis.bounds[0] >= 2 and letter not in analysis.irrational_letters:
         # position kind: the minimal period D of the indicator, then the
         # gaps' witness (2, c), its certificate times 1/(1 - X) re-checked
         # on the positions of the same bytes
-        w = analysis.witness(letter)
-        if w is not None:
-            ones, d = analysis.indicator(letter), w.period
-        else:
-            m = analysis.bounds[1]
+        m = analysis.bounds[1]
+        d = analysis.period(letter, m)
+        if d is None:
             pos = _scan_positions(analysis, letter, m + 1).coefficients
-            span = pos[m + 1] - pos[1]
-            ones = _zero_one(analysis.prefix(max(analysis.need, 2 * span)), letter)
-            v = detect_period(ones, 0, span, periods=2)
-            d = v.period if v and analysis.has_period(letter, v.period) else None
-            if d and len(ones) < 3 * d:
-                ones = _zero_one(analysis.prefix(3 * d), letter)
+            d = analysis.period(letter, pos[m + 1] - pos[1])
         if d is not None:
+            ones = analysis.indicator(letter, 3 * d)
             w = PeriodWitness(2, ones[:d].count(1))
             pos = _scan_positions(analysis, letter, ones.count(1), ones=ones)
             base = rational_form_from_witness(difference_transform(pos, 1).coefficients, w)

@@ -18,7 +18,7 @@ from operator import eq, sub
 from typing import Optional, Union
 
 from .errors import WrongAlphabetSizeError
-from .genfun import RationalForm, rational_form_from_witness
+from .genfun import RationalForm, series_verdict_of
 from .polynomials import ExactPolynomial
 from .quadratic import QuadraticReal, _int_form, _make, _square_free_split
 from .substitutions import (
@@ -253,8 +253,7 @@ def classify_two_letter_of(analysis: Analysis, lengths) -> TwoLetterClassificati
         )
     verdict = analysis.verdict
     if isinstance(verdict, EventuallyPeriodic):
-        witness = analysis.witness(first)
-        form = rational_form_from_witness(analysis.indicator(first), witness)
+        form = series_verdict_of(analysis, first).form
         # G = difference * X * P / ((1-X)(1-X^d)) + second * X / (1-X)^2
         expanded = RationalForm(form.numerator, form.period, 1).expand(CHECK_ORDER)
         counts = [0, *expanded.coefficients[:CHECK_ORDER]]

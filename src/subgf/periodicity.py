@@ -34,21 +34,18 @@ def _ids(coeffs) -> tuple[bytes, int]:
     return array("q", codes).tobytes(), 8
 
 
-def detect_period(
-    coeffs, max_preperiod: int, max_period: int, *, periods: int = 10
-) -> PeriodWitness | None:
+def detect_period(coeffs, max_preperiod: int, max_period: int) -> PeriodWitness | None:
     """Smallest-period, then smallest-preperiod witness over the whole given
     sequence, or None if no witness fits the bounds.
 
-    The sequence must be at least max_preperiod + periods * max_period long.
-    The default, 10 periods, confirms any reported witness well past its
-    preperiod.  periods=2, the least the search reads, is enough when the
-    values from max_preperiod on are purely periodic with minimal period
-    D <= max_period: the result is then D.  By Fine and Wilf, a window with
-    periods d and D and at least d + D - gcd(d, D) values also has the
-    period gcd(d, D); 2 * max_period values meet that bound for every
-    d < D <= max_period and hold a whole period, so a smaller period d of
-    the window would make gcd(d, D) < D a period of the tail.
+    The sequence must be at least max_preperiod + 2 * max_period long, which
+    is enough when the values from max_preperiod on are purely periodic with
+    minimal period D <= max_period: the result is then D.  By Fine and Wilf
+    (Proc. AMS 16, 1965), a window with periods d and D and at least
+    d + D - gcd(d, D) values also has the period gcd(d, D); 2 * max_period
+    values meet that bound for every d < D <= max_period and hold a whole
+    period, so a smaller period d of the window would make gcd(d, D) < D a
+    period of the tail.
 
     d is accepted iff c[n] == c[n + d] for all n >= max_preperiod.  Such a d
     <= max_period repeats the first max_period ids of that tail at offset d,
@@ -60,13 +57,11 @@ def detect_period(
     """
     if max_preperiod < 0 or max_period < 1:
         raise ValueError("bounds must satisfy max_preperiod >= 0, max_period >= 1")
-    if periods < 2:
-        raise ValueError("the search reads at least 2 periods")
     ids, width = _ids(coeffs)
     size = len(ids) // width
-    if size < max_preperiod + periods * max_period:
+    if size < max_preperiod + 2 * max_period:
         raise InsufficientDataError(
-            f"need at least {max_preperiod + periods * max_period} values, got {size}"
+            f"need at least {max_preperiod + 2 * max_period} values, got {size}"
         )
     view = memoryview(ids)
     cut = max_preperiod * width

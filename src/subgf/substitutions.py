@@ -386,16 +386,17 @@ AperiodicityVerdict = Union[AperiodicByIrrationalPF, EventuallyPeriodic, Inconcl
 
 
 DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
-# Largest base prefix max_preperiod + 10 * max_period that an Analysis
-# accepts; larger bounds raise TooLargeError up front.  10**6 letters take
-# about 0.26 s and 53 MB peak RSS for `analyze` on xyz, 0.08 s and 20 MB on
-# fib, and 0.09 s and 23 MB on Thue-Morse (2-vCPU VM, best of 3 fresh
-# processes).
+# Largest max_preperiod + 10 * max_period that an Analysis accepts, a bound
+# on the arguments; larger bounds raise TooLargeError up front.  A search
+# reads 2 * max_period letters: at max period 10**5, `analyze` takes about
+# 0.11 s and 21 MB peak RSS on xyz, 0.10 s and 21 MB on fib, and 0.12 s and
+# 21 MB on Thue-Morse (2-vCPU VM, best of 5 fresh processes).
 MAX_SEARCH_LETTERS = 10**6
 # Largest prefix of the fixed word that an Analysis builds (`expand --n`,
 # the orders of `series` and `geom`), and largest sum of block(b) + block(c)
 # over the pairs of a period proof (`Analysis.has_period`).  More raises
-# TooLargeError before any of it is built.
+# TooLargeError before any of it is built; a larger proof first reads this
+# many letters, which may refute the period instead.
 MAX_EXTENDED_LETTERS = 10**7
 
 
@@ -440,13 +441,15 @@ class Analysis:
 
     def __init__(self, s: Substitution, seed=None, bounds=DEFAULT_BOUNDS):
         self.substitution, self.bounds, self._seed = s, bounds, seed
-        self.need = bounds[0] + 10 * bounds[1]  # base prefix for detect_period
+        if bounds[0] < 0 or bounds[1] < 1:
+            raise ValueError("bounds must satisfy max_preperiod >= 0, max_period >= 1")
+        self.need = bounds[0] + 10 * bounds[1]  # see MAX_SEARCH_LETTERS
         if self.need > MAX_SEARCH_LETTERS:
             raise TooLargeError(
                 f"period search over {self.need} letters exceeds the limit "
                 f"of {MAX_SEARCH_LETTERS}"
             )
-        self._witness: dict[str, Optional[PeriodWitness]] = {}
+        self._period: dict[tuple[str, int], Optional[int]] = {}
 
     @cached_property
     def matrix(self) -> SubstitutionMatrix:
@@ -564,9 +567,9 @@ class Analysis:
                 stack.append((iter(table[b]), j - 1))
         return "".join(parts)
 
-    def indicator(self, letter: str) -> bytes:
-        """The letter's `_zero_one` bytes over the first `need` letters."""
-        return _zero_one(self.prefix(self.need), letter)
+    def indicator(self, letter: str, n: int) -> bytes:
+        """The letter's `_zero_one` bytes over the first n letters."""
+        return _zero_one(self.prefix(n), letter)
 
     @cached_property
     def pairs(self) -> set[str]:
@@ -584,7 +587,10 @@ class Analysis:
         """Whether the letter's 0/1 indicator over all of x has period d.  A
         primitive x is uniformly recurrent, and once every block
         sigma**(p*j)(a) has d letters each (d + 1)-letter factor of x lies in
-        block(b) + block(c) for a pair bc, so checking those pairs is a proof."""
+        block(b) + block(c) for a pair bc, so checking those pairs is a proof.
+        A proof over more than MAX_EXTENDED_LETTERS letters is refused unless
+        that many letters of x refute d, since a period of x is one of each
+        of its prefixes."""
         if self.primitivity_witness is None:
             raise NotPrimitiveError("substitution is not primitive")
         level = 0
@@ -593,6 +599,9 @@ class Analysis:
         sizes = self._sizes(level)
         n = sum(sizes[b] + sizes[c] for b, c in self.pairs)
         if n > MAX_EXTENDED_LETTERS:
+            ones = self.indicator(letter, MAX_EXTENDED_LETTERS)
+            if ones[d:] != ones[:-d]:
+                return False
             raise TooLargeError(f"period proof over {n} letters exceeds the "
                                 f"limit of {MAX_EXTENDED_LETTERS}")
         ones = {a: _zero_one(self._block(a, level), letter) for a in sizes}
@@ -621,19 +630,25 @@ class Analysis:
             if _rank([*columns, [int(i == j) for j in range(k)]]) > full
         )
 
-    def witness(self, letter: str) -> Optional[PeriodWitness]:
-        """`detect_period` on the letter's indicator, kept if `has_period`
-        proves its period, so its preperiod is 0; none is lost, as an eventually
-        periodic indicator over a uniformly recurrent word is periodic.  A
-        periodic 0/1 sequence has a rational frequency, so the irrational
-        letters are not searched."""
-        if letter not in self._witness:
+    def period(self, letter: str, bound: int) -> Optional[int]:
+        """The minimal period D <= bound of the letter's indicator over all
+        of x, or None: `detect_period` over its first 2 * bound letters,
+        kept if `has_period` proves it.  An eventually periodic indicator over
+        a uniformly recurrent word is purely periodic, so by Fine and Wilf the
+        search returns D itself.  A periodic 0/1 sequence has a rational
+        frequency, so the irrational letters are not searched."""
+        if (letter, bound) not in self._period:
             w = None
             if letter not in self.irrational_letters:
-                w = detect_period(self.indicator(letter), *self.bounds)
+                w = detect_period(self.indicator(letter, 2 * bound), 0, bound)
             proved = w and self.has_period(letter, w.period)
-            self._witness[letter] = w if proved else None
-        return self._witness[letter]
+            self._period[letter, bound] = w.period if proved else None
+        return self._period[letter, bound]
+
+    def witness(self, letter: str) -> Optional[PeriodWitness]:
+        """The witness (0, D) of `period` at the max period, or None."""
+        d = self.period(letter, self.bounds[1])
+        return None if d is None else PeriodWitness(0, d)
 
     @cached_property
     def verdict(self) -> AperiodicityVerdict:

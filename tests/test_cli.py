@@ -189,6 +189,29 @@ def test_period_proof_limit_is_inclusive(capsys, monkeypatch, tmp_path):
     assert "period proof over 4004 letters exceeds the limit of 4003" in err
 
 
+def test_prefix_refutes_a_period_whose_proof_is_too_large():
+    # at (2, 99999) the 2 B letters of b's position search have the spurious
+    # period 262144, whose proof needs 16777216 letters: the first
+    # MAX_EXTENDED_LETTERS letters refute it, so no refusal
+    analysis = substitutions.Analysis(substitutions.parse_substitution(S7_37), None,
+                                      (2, 99999))
+    assert not analysis.has_period("b", 262144)
+
+
+@pytest.mark.parametrize("name", ["fib", "xyz", "thue_morse"])
+@pytest.mark.parametrize("command", ["analyze", "period"])
+@pytest.mark.parametrize("pre, per", [("-1", "200"), ("1000", "0")])
+def test_invalid_bounds_refused_on_every_input(capsys, name, command, pre, per):
+    # fib's letters are all irrational, so no period search sees its bounds
+    path = DATA / f"{name}.sub"
+    first = substitutions.parse_substitution(path.read_text()).alphabet[0]
+    letter = ["--letter", first] if command == "period" else []
+    code, out, err = run(capsys, command, str(path), *letter,
+                         "--max-preperiod", pre, "--max-period", per)
+    assert code == 2 and out == ""
+    assert "bounds must satisfy max_preperiod >= 0, max_period >= 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--n", "1000000000"],
     ["series", "--letter", "a", "--order", "100000000"],
@@ -248,7 +271,7 @@ def test_faked_period_of_an_irrational_letter_is_not_searched(capsys, monkeypatc
     rules = "a -> " + "a" * 200 + "b\nb -> a\n"
     s = substitutions.parse_substitution(rules)
     analysis = substitutions.Analysis(s, None, (0, 201))
-    assert periodicity.detect_period(analysis.indicator("b"), 0, 201).period == 201
+    assert periodicity.detect_period(analysis.indicator("b", 2010), 0, 201).period == 201
     assert analysis.irrational_letters == {"a", "b"}
     path = tmp_path / "long.sub"
     path.write_text(rules)
@@ -289,6 +312,7 @@ def test_gaps_over_255_pinned(capsys, tmp_path):
 # occurrences at --max-period 100000, past the prefix limit
 CASE_III = "a -> ba\nb -> ac\nc -> cb\n"
 RARE = "a -> eda\nb -> bee\nc -> ccbe\nd -> cb\ne -> ca\n"
+S7_37 = "a -> ccab\nb -> cbac\nc -> aaab\n"  # input 37 of `bench/gen.py` seed 7
 
 
 def test_position_witness_without_a_characteristic_one_pinned(capsys, tmp_path):
@@ -308,8 +332,8 @@ def test_position_witness_without_a_characteristic_one_pinned(capsys, tmp_path):
 
 def test_rare_letter_needs_no_long_scan(capsys, monkeypatch, tmp_path):
     # at max preperiod 0 no position witness exists, so nothing past the
-    # 10**6-letter characteristic search is built (the gap search asked for
-    # 16 * 10**6 letters and exited 2)
+    # characteristic search over two periods of 10**5 letters is built (the
+    # gap search asked for 16 * 10**6 letters and exited 2)
     path = tmp_path / "rare.sub"
     path.write_text(RARE)
     longest, prefix = [0], substitutions.Analysis.prefix
@@ -322,7 +346,7 @@ def test_rare_letter_needs_no_long_scan(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "analyze", str(path), "--max-preperiod", "0",
                          "--max-period", "100000")
     assert code == 0 and err == ""
-    assert longest[0] == 10**6
+    assert longest[0] == 2 * 10**5
     for verdicts in json.loads(out)["series"].values():
         assert {v["kind"] for v in verdicts.values()} == {"inconclusive"}
 
@@ -343,6 +367,25 @@ def test_verdict_searches_are_pinned(capsys, tmp_path):
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == (
         "cc09d6722c1a85c46a223bf936965cd51b29dcbf5964e458fb805f995501ad16"
+    )
+
+
+def test_large_bound_verdicts_pinned(capsys, tmp_path):
+    # as above at two large bound pairs, recorded with the searches over 10
+    # periods: a window of two periods must return the same proved periods,
+    # and a certificate sized from the proved period the same forms
+    paths = [DATA / f"{name}.sub" for name in ("abab", "fib", "thue_morse", "xyz")]
+    for name, rules in (("c3", CASE_III), ("rare", RARE), ("s7_37", S7_37)):
+        paths.append(tmp_path / f"{name}.sub")
+        paths[-1].write_text(rules)
+    digest = hashlib.sha256()
+    for pre, per in (("0", "100000"), ("2", "99999")):
+        for path in paths:
+            code, out, _ = run(capsys, "analyze", str(path), "--max-preperiod", pre,
+                               "--max-period", per)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "c317dd699ca3a121cce52513abf022cd5c5e071a09fa10e7cd11d44b5b82f1aa"
     )
 
 

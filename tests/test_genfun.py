@@ -290,7 +290,8 @@ def period_cases(draw, wide=False):
     max_period = draw(st.integers(1, 4))
     block = draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_period + 1))
     max_preperiod = max(0, len(head) + draw(st.sampled_from([-1, 0, 1, 3])))
-    size = max_preperiod + 10 * max_period + draw(st.integers(0, 8))
+    periods = draw(st.sampled_from([2, 10]))  # detect_period's minimum, or more
+    size = max_preperiod + periods * max_period + draw(st.integers(0, 8))
     seq = (head + block * size)[:size]
     for _ in range(draw(st.integers(0, 2))):
         seq[draw(st.integers(0, size - 1))] = draw(st.integers(-1, 3))
@@ -404,12 +405,10 @@ class TestDetectPeriod:
                 if block == (block[k:] + block)[: len(block)] and len(block) % k == 0)
         max_period = d + extra
         seq = block[:d] * (2 * max_period // d + 1)
-        assert detect_period(seq[: 2 * max_period], 0, max_period, periods=2) == (
+        assert detect_period(seq[: 2 * max_period], 0, max_period) == (
             PeriodWitness(0, d))
         with pytest.raises(InsufficientDataError):
-            detect_period(seq[: 2 * max_period - 1], 0, max_period, periods=2)
-        with pytest.raises(ValueError):
-            detect_period(seq, 0, max_period, periods=1)
+            detect_period(seq[: 2 * max_period - 1], 0, max_period)
 
     def test_many_distinct_values(self):
         # forces the wide integer encoding path
@@ -557,10 +556,10 @@ class TestVerdicts:
 
     def test_position_search_reads_two_spans(self):
         # every letter's indicator has minimal period 7 with one 1, so at
-        # (2, 1) the span B = pos[2] - pos[1] is 7 = D itself, and the search
-        # over max(need, 2 B) = 14 letters must place the head's copy at
-        # offset B; the certificate reads 2 + 2c = 4 gaps, past the 2 1s of
-        # those 14 letters
+        # (2, 1) the characteristic searches read 2 letters each, the span
+        # B = pos[2] - pos[1] is 7 = D itself, and the search over 2 B = 14
+        # letters must place the head's copy at offset B; the certificate
+        # reads 2 + 2c = 4 gaps, past the 2 1s of those 14 letters
         s = parse_substitution("".join(f"{a}->abcdefg\n" for a in "abcdefg"))
         analysis = Analysis(s, None, (2, 1))
         assert analysis.need == 12
@@ -570,13 +569,13 @@ class TestVerdicts:
             lengths.append(len(coeffs))
             return detect_period(coeffs, *args, **kwargs)
 
-        with mock.patch.object(genfun, "detect_period", recorded):
+        with mock.patch("subgf.substitutions.detect_period", recorded):
             for letter in s.alphabet:
                 assert series_verdict_of(analysis, letter, CHARACTERISTIC) == (
                     InconclusiveUpTo(2, 1))
                 v = series_verdict_of(analysis, letter, POSITION)
                 assert v.witness == PeriodWitness(2, 1) and v.form.period == 1
-        assert lengths == [14] * 7
+        assert lengths == [2] * 7 + [14] * 7
 
     def test_requires_primitive(self):
         s = parse_substitution("a->ab\nb->b")

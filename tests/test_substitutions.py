@@ -730,12 +730,12 @@ class TestIrrationalLetters:
         assert _rational_frequency_letters(dict(s.rules)) == {"a"}
         scanned = []
         detect = periodicity.detect_period
-        for module in (substitutions, genfun):
-            monkeypatch.setattr(module, "detect_period",
-                                lambda seq, *b, **kw: scanned.append(seq) or detect(seq, *b, **kw))
+        monkeypatch.setattr(substitutions, "detect_period",
+                            lambda seq, *b: scanned.append(seq) or detect(seq, *b))
         verdicts = {(a, kind): genfun.series_verdict_of(analysis, a, kind)
                     for a in "abc" for kind in (genfun.CHARACTERISTIC, genfun.POSITION)}
-        # one scan of a's indicator and one of its gaps, none for b or c
-        assert len(scanned) == 2 and scanned[0] == analysis.indicator("a")
+        # two searches of a's indicator, at the max period and at the span B
+        # of its position verdict; none for b or c
+        assert len(scanned) == 2 and scanned[0] == analysis.indicator("a", 400)
         # as before the skip: no letter has a witness, and three are undecided
         assert set(verdicts.values()) == {InconclusiveUpTo(1000, 200)}
