@@ -46,10 +46,6 @@ class InsufficientDataError(SubgfError):
     pass
 
 
-class InsufficientOccurrencesError(SubgfError):
-    pass
-
-
 class WitnessInvalidError(SubgfError):
     pass
 

@@ -21,14 +21,18 @@ from .realroots import (
     _root_free_certificate,
     isolate_max_root,
 )
-from .substitutions import FixedPointSeed, Substitution, fixed_word_prefix
+from .substitutions import (
+    MAX_EXTENDED_LETTERS,
+    FixedPointSeed,
+    Substitution,
+    fixed_word_prefix,
+)
 
 FIBONACCI = Substitution.from_rules({"a": "ab", "b": "a"})
 FIBONACCI_SEED = FixedPointSeed(1, "a")
 # labels of the pairs at even offsets of the fixed word (bb never occurs)
 PAIR_LABELS = {"ab": "R", "aa": "S", "ba": "T"}
 
-MAX_SUPERTILE_LEVEL = 40
 # pair polynomials grow like (2+sqrt(5))**n: degrees ~3e3 at level 5 and
 # ~1.1e4 at 6.  On a 2-vCPU VM with pure-Python integers, `roots --level 5`
 # takes about 1.7 s and level 6 about 100 s at 60 MB, so level 6 is refused
@@ -42,19 +46,22 @@ MIN_TOLERANCE = Fraction(1, 10**30)
 
 
 def supertile_word(n: int, which: str = "A") -> str:
-    """sigma**n applied to a (which='A') or to b (which='B')."""
+    """sigma**n applied to a (which='A') or to b (which='B'): the fixed
+    word's prefix of |sigma**n(a)| letters, and sigma**n(b) = sigma**(n-1)(a)
+    for n >= 1, so both are held to the prefix limit.  The lengths stop
+    growing once both pass it, so a large level is refused at once."""
     if which not in ("A", "B"):
         raise ValueError("which must be 'A' or 'B'")
     if n < 0:
         raise ValueError("level must be >= 0")
-    if which == "B":
-        return "b" if n == 0 else supertile_word(n - 1, "A")
-    if n > MAX_SUPERTILE_LEVEL:
-        raise TooLargeError(f"level {n} supertile would not fit in memory")
-    prev, cur = "b", "a"
+    if n == 0:
+        return which.lower()
+    a, b = 1, 1  # |sigma**k(a)|, |sigma**k(b)|
     for _ in range(n):
-        prev, cur = cur, cur + prev
-    return cur
+        if b > MAX_EXTENDED_LETTERS:
+            break
+        a, b = a + b, a
+    return fixed_word_prefix(FIBONACCI, FIBONACCI_SEED, a if which == "A" else b)
 
 
 @dataclass(frozen=True)

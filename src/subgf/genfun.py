@@ -22,17 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice
 from operator import sub
-from typing import Optional, Union
+from typing import Union
 
-from .errors import (
-    InsufficientOccurrencesError,
-    NotPrimitiveError,
-    WitnessInvalidError,
-)
+from .errors import NotPrimitiveError, TooLargeError, WitnessInvalidError
 from .periodicity import PeriodWitness, verify_witness
 from .polynomials import ExactPolynomial
 from .substitutions import (
     DEFAULT_BOUNDS,
+    MAX_EXTENDED_LETTERS,
     AperiodicByIrrationalPF,
     Analysis,
     FixedPointSeed,
@@ -94,54 +91,28 @@ def _char_series(analysis: Analysis, letter: str, order: int) -> TruncatedSeries
 
 
 def position_series(
-    s: Substitution,
-    seed: FixedPointSeed,
-    letter: str,
-    n_terms: int,
-    scan_bound: Optional[int] = None,
+    s: Substitution, seed: FixedPointSeed, letter: str, n_terms: int
 ) -> TruncatedSeries:
     """First n_terms occurrence positions, as coefficients of X**1..X**n_terms
     with constant term 0."""
-    return _scan_positions(Analysis(s, seed), letter, n_terms, scan_bound)
+    return _scan_positions(Analysis(s, seed), letter, n_terms)
 
 
-def _occurrences(analysis, letter, n_terms, scan_bound=None) -> bytes:
-    """The letter's `_zero_one` bytes over the first of the doubling prefixes
-    of the Analysis' word that holds n_terms occurrences, never past
-    scan_bound letters (by default the gap bound, twice the longest image at
-    the primitivity witness, times n_terms + 2).  Each prefix is counted with
-    `str.count` before any byte is made."""
-    s = analysis.substitution
-    if letter not in s.alphabet:
-        raise KeyError(f"letter {letter!r} not in alphabet")
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
-    if scan_bound is None:
-        if len(s.alphabet) >= 2 and analysis.primitivity_witness is not None:
-            scan_bound = analysis.gap_bound * (n_terms + 2)
-        else:
-            scan_bound = 4 * n_terms + 64
-    end = max(0, min(n_terms, scan_bound))
-    while True:
-        word = analysis.prefix(end)
-        found = word.count(letter)
-        if found >= n_terms:
-            return _zero_one(word, letter)
-        if end >= scan_bound:
-            raise InsufficientOccurrencesError(
-                f"found only {found} of {n_terms} occurrences of "
-                f"{letter!r} within {scan_bound} letters"
-            )
-        end = min(2 * end, scan_bound)
-
-
-def _scan_positions(
-    analysis, letter, n_terms, scan_bound=None, ones=None
-) -> TruncatedSeries:
+def _scan_positions(analysis, letter, n_terms, ones=None) -> TruncatedSeries:
     """`position_series` on an Analysis: `compress` over the letter's 0/1
-    bytes `ones` (by default `_occurrences`), all in C."""
+    bytes `ones` (by default through its n_terms-th occurrence), all in C."""
     if ones is None:
-        ones = _occurrences(analysis, letter, n_terms, scan_bound)
+        if letter not in analysis.substitution.alphabet:
+            raise KeyError(f"letter {letter!r} not in alphabet")
+        if n_terms < 0:
+            raise ValueError("n_terms must be >= 0")
+        last = analysis.position(letter, n_terms) if n_terms else -1
+        if last is None:
+            raise TooLargeError(
+                f"prefix with {n_terms} occurrences of {letter!r} exceeds the "
+                f"limit of {MAX_EXTENDED_LETTERS}"
+            )
+        ones = analysis.indicator(letter, last + 1)
     hits = compress(count(), ones)
     return TruncatedSeries.from_coefficients([0, *islice(hits, n_terms)])
 
@@ -297,8 +268,8 @@ def series_verdict_of(
     docstring proves it), and none at max preperiod 0 or 1.  D is the
     characteristic witness's period when there is one.  Otherwise c <= max
     period forces D = pos[1 + c] - pos[1] <= B = pos[1 + max period] - pos[1],
-    read from the first max period + 1 occurrences, and D is
-    `analysis.period(letter, B)`.  Either certificate reads 3 D letters,
+    read by `analysis.position` (none past the prefix limit: undecided), and
+    D is `analysis.period(letter, B)`.  Either certificate reads 3 D letters,
     which hold the characteristic one's 2 D and the position one's 2 + 2c
     gaps; the position one is re-checked on their positions.
 
@@ -326,9 +297,8 @@ def series_verdict_of(
         # on the positions of the same bytes
         m = analysis.bounds[1]
         d = analysis.period(letter, m)
-        if d is None:
-            pos = _scan_positions(analysis, letter, m + 1).coefficients
-            d = analysis.period(letter, pos[m + 1] - pos[1])
+        if d is None and (last := analysis.position(letter, m + 1)) is not None:
+            d = analysis.period(letter, last - analysis.position(letter, 1))
         if d is not None:
             ones = analysis.indicator(letter, 3 * d)
             w = PeriodWitness(2, ones[:d].count(1))

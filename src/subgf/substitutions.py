@@ -3,8 +3,8 @@ primitivity, Perron-Frobenius data, one-sided fixed words, and the
 aperiodicity verdict.
 
 `Analysis` derives each of these facts once, on first use, together with
-the shared fixed-word prefix, the letters whose frequency is irrational and
-each other letter's proved period witness.
+the shared fixed-word prefix and letter positions, the letters whose
+frequency is irrational and each other letter's proved period witness.
 
 Letters are single characters from [A-Za-z0-9]; words are plain strings.
 All values but an `Analysis` are immutable after construction.
@@ -356,12 +356,12 @@ def fixed_word_prefix(s: Substitution, seed: FixedPointSeed, n: int) -> str:
 def gap_bound(s: Substitution) -> int:
     """Upper bound for the gap between successive copies of any letter in a
     fixed word: twice the longest image length at the primitivity witness."""
-    analysis = Analysis(s)
-    if analysis.primitivity_witness is None:
+    witness = is_primitive(substitution_matrix(s))
+    if witness is None:
         raise NotPrimitiveError("substitution is not primitive")
     if len(s.alphabet) < 2:
         raise WrongAlphabetSizeError("gap bound needs at least two letters")
-    return analysis.gap_bound
+    return 2 * max(s.image_lengths(witness).values())
 
 
 @dataclass(frozen=True)
@@ -386,14 +386,13 @@ AperiodicityVerdict = Union[AperiodicByIrrationalPF, EventuallyPeriodic, Inconcl
 
 
 DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
-# Largest max_preperiod + 10 * max_period that an Analysis accepts, a bound
-# on the arguments; larger bounds raise TooLargeError up front.  A search
-# reads 2 * max_period letters: at max period 10**5, `analyze` takes about
-# 0.11 s and 21 MB peak RSS on xyz, 0.10 s and 21 MB on fib, and 0.12 s and
-# 21 MB on Thue-Morse (2-vCPU VM, best of 5 fresh processes).
-MAX_SEARCH_LETTERS = 10**6
-# Largest prefix of the fixed word that an Analysis builds (`expand --n`,
-# the orders of `series` and `geom`), and largest sum of block(b) + block(c)
+# The one limit on the letters an Analysis reads: every prefix of the fixed
+# word (`expand --n`, the orders of `series` and `geom`,
+# `fibonacci.supertile_word`) and through an occurrence (`Analysis.position`,
+# so a position series); 3 * max_period, the certificate of a period at the
+# max period (refused in `Analysis.__init__`); in `Analysis.period`, the
+# 2 * bound letters searched and the 3 * D of a found period's certificate
+# (past it, the letter stays undecided); and the sum of block(b) + block(c)
 # over the pairs of a period proof (`Analysis.has_period`).  More raises
 # TooLargeError before any of it is built; a larger proof first reads this
 # many letters, which may refute the period instead.
@@ -437,19 +436,20 @@ class Analysis:
     `fixed_point_seed`) and bounds (max preperiod, max period), each on first
     use.  Words come from the blocks sigma**(p*j)(b), p the seed's power,
     each joined at most once from the blocks of its image one level down
-    (`_block`); their lengths come from integer size tables first."""
+    (`_block`); lengths, letter counts and positions come from integer
+    count tables."""
 
     def __init__(self, s: Substitution, seed=None, bounds=DEFAULT_BOUNDS):
         self.substitution, self.bounds, self._seed = s, bounds, seed
         if bounds[0] < 0 or bounds[1] < 1:
             raise ValueError("bounds must satisfy max_preperiod >= 0, max_period >= 1")
-        self.need = bounds[0] + 10 * bounds[1]  # see MAX_SEARCH_LETTERS
-        if self.need > MAX_SEARCH_LETTERS:
+        if 3 * bounds[1] > MAX_EXTENDED_LETTERS:
             raise TooLargeError(
-                f"period search over {self.need} letters exceeds the limit "
-                f"of {MAX_SEARCH_LETTERS}"
+                f"period certificate over {3 * bounds[1]} letters exceeds the "
+                f"limit of {MAX_EXTENDED_LETTERS}"
             )
         self._period: dict[tuple[str, int], Optional[int]] = {}
+        self._count_levels: dict[Optional[str], list[dict[str, int]]] = {}  # of `_counts`
 
     @cached_property
     def matrix(self) -> SubstitutionMatrix:
@@ -476,28 +476,22 @@ class Analysis:
         return {a: s.apply_power(a, p) for a in s.alphabet}
 
     @cached_property
-    def gap_bound(self) -> int:
-        """`gap_bound` of a primitive substitution."""
-        lengths = self.substitution.image_lengths(self.primitivity_witness)
-        return 2 * max(lengths.values())
-
-    @cached_property
-    def _size_levels(self) -> list[dict[str, int]]:
-        """Level j: letter b -> |sigma**(p*j)(b)|, levels added on demand."""
-        return [dict.fromkeys(self.power_table, 1)]
-
-    @cached_property
     def _block_levels(self) -> list[dict[str, str]]:
         """Level j: letter b -> sigma**(p*j)(b), blocks built on demand."""
         return [{a: a for a in self.power_table}, self.power_table]
 
-    def _sizes(self, level: int) -> dict[str, int]:
-        """|sigma**(p*level)(b)| for every letter b, from the level below."""
-        sizes, table = self._size_levels, self.power_table
-        while len(sizes) <= level:
-            below = sizes[-1]
-            sizes.append({a: sum(map(below.__getitem__, w)) for a, w in table.items()})
-        return sizes[level]
+    def _counts(self, level: int, letter: Optional[str] = None) -> dict[str, int]:
+        """The count of `letter` in sigma**(p*level)(b) for every letter b, or
+        with no letter its length (the table whose level 0 is all ones), each
+        level the sums over the images of the level below, kept."""
+        table = self.power_table
+        if letter not in self._count_levels:
+            self._count_levels[letter] = [{b: int(letter in (None, b)) for b in table}]
+        levels = self._count_levels[letter]
+        while len(levels) <= level:
+            below = levels[-1]
+            levels.append({a: sum(map(below.__getitem__, w)) for a, w in table.items()})
+        return levels[level]
 
     def _build(self, letter: str, level: int) -> None:
         """Join sigma**(p*level)(letter) from the blocks of its image one
@@ -527,8 +521,15 @@ class Analysis:
                 stack.pop()
         return blocks[level][letter]
 
+    def _start(self) -> str:
+        """The seed's letter a0, checked to begin a longer sigma**p(a0)."""
+        a, table = self.seed.start_letter, self.power_table
+        if not table[a].startswith(a) or len(table[a]) < 2:
+            raise ValueError("invalid seed for this substitution")
+        return a
+
     def prefix(self, n: int) -> str:
-        """The first n letters of the fixed word; resolves the seed even if n = 0.
+        """The first n letters of the fixed word; checks the seed even if n = 0.
 
         x begins with sigma**(p*K)(a0) for the least K with
         |sigma**(p*K)(a0)| >= n, found from the size tables.  The walk reads
@@ -545,14 +546,11 @@ class Analysis:
             raise TooLargeError(
                 f"prefix of {n} letters exceeds the limit of {MAX_EXTENDED_LETTERS}"
             )
-        a = self.seed.start_letter
+        a, table = self._start(), self.power_table
         if not n:
             return ""
-        table = self.power_table
-        if not table[a].startswith(a) or len(table[a]) < 2:
-            raise ValueError("invalid seed for this substitution")
         level = 0
-        while self._sizes(level)[a] < n:
+        while self._counts(level)[a] < n:
             level += 1
         parts, left, stack = [], n, [(iter(a), level)]
         while left:
@@ -560,12 +558,37 @@ class Analysis:
             b = next(letters, None)
             if b is None:
                 stack.pop()
-            elif (size := self._sizes(j)[b]) <= left and (j <= 1 or size <= _WHOLE):
+            elif (size := self._counts(j)[b]) <= left and (j <= 1 or size <= _WHOLE):
                 parts.append(self._block(b, j))
                 left -= size
             else:
                 stack.append((iter(table[b]), j - 1))
         return "".join(parts)
+
+    def position(self, letter: str, n: int) -> Optional[int]:
+        """The index in x of the n-th occurrence (n >= 1) of a letter, or None
+        past MAX_EXTENDED_LETTERS, from the count tables alone: below the
+        least K whose sigma**(p*K)(a0) holds n, blocks holding fewer than are
+        left are passed over, and the first that holds the rest is replaced
+        by the blocks of its image one level down, to the letter itself."""
+        if n < 1:
+            raise ValueError("occurrence number must be >= 1")
+        a, table = self._start(), self.power_table
+        level = 0
+        while self._counts(level, letter)[a] < n:
+            if self._counts(level)[a] >= MAX_EXTENDED_LETTERS:
+                return None
+            level += 1
+        left, index, word = n, 0, a
+        for j in range(level, -1, -1):
+            counts, sizes = self._counts(j, letter), self._counts(j)
+            for b in word:
+                if counts[b] >= left:
+                    break
+                left -= counts[b]
+                index += sizes[b]
+            word = table[b]
+        return index if index < MAX_EXTENDED_LETTERS else None
 
     def indicator(self, letter: str, n: int) -> bytes:
         """The letter's `_zero_one` bytes over the first n letters."""
@@ -594,9 +617,9 @@ class Analysis:
         if self.primitivity_witness is None:
             raise NotPrimitiveError("substitution is not primitive")
         level = 0
-        while min(self._sizes(level).values()) < d:
+        while min(self._counts(level).values()) < d:
             level += 1
-        sizes = self._sizes(level)
+        sizes = self._counts(level)
         n = sum(sizes[b] + sizes[c] for b, c in self.pairs)
         if n > MAX_EXTENDED_LETTERS:
             ones = self.indicator(letter, MAX_EXTENDED_LETTERS)
@@ -636,12 +659,15 @@ class Analysis:
         kept if `has_period` proves it.  An eventually periodic indicator over
         a uniformly recurrent word is purely periodic, so by Fine and Wilf the
         search returns D itself.  A periodic 0/1 sequence has a rational
-        frequency, so the irrational letters are not searched."""
+        frequency, so the irrational letters are not searched; nor is a bound
+        whose 2 * bound letters pass MAX_EXTENDED_LETTERS, and a D whose
+        3 * D letters (its certificate) would pass it is not kept."""
         if (letter, bound) not in self._period:
             w = None
-            if letter not in self.irrational_letters:
+            if letter not in self.irrational_letters and 2 * bound <= MAX_EXTENDED_LETTERS:
                 w = detect_period(self.indicator(letter, 2 * bound), 0, bound)
-            proved = w and self.has_period(letter, w.period)
+            proved = (w and 3 * w.period <= MAX_EXTENDED_LETTERS
+                      and self.has_period(letter, w.period))
             self._period[letter, bound] = w.period if proved else None
         return self._period[letter, bound]
 

@@ -141,12 +141,39 @@ class TestPeriod:
     ["period", str(DATA / "xyz.sub"), "--letter", "y"],
 ])
 def test_period_search_over_the_limit_refused_up_front(capsys, argv):
-    # 1000 + 10 * 10**8 letters are over substitutions.MAX_SEARCH_LETTERS
+    # a certificate of 3 * 10**8 letters is over substitutions.MAX_EXTENDED_LETTERS
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--max-period", "100000000")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert "exceeds the limit of 1000000" in err
+    assert "exceeds the limit of 10000000" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "period"])
+def test_largest_max_period_under_the_limit(capsys, command):
+    # 3 * 3333333 letters fit in the limit of 10**7: each letter's search
+    # reads 2 * 3333333 letters and finds no period, and the span B of its
+    # position verdict, about 2 * 3333333, is not searched (3 B would pass
+    # the limit); at 3333334 the certificate bound alone is refused
+    argv = [command, str(DATA / "thue_morse.sub"), "--max-preperiod", "2"]
+    argv += ["--letter", "a"] if command == "period" else []
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--max-period", "3333333")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    if command == "period":
+        assert doc["witness"] is None
+    else:
+        assert doc["aperiodicity"]["verdict"] == "inconclusive"
+        for verdicts in doc["series"].values():
+            assert {v["kind"] for v in verdicts.values()} == {"inconclusive"}
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--max-period", "3333334")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: period certificate over 10000002 letters exceeds the "
+                   "limit of 10000000\n")
 
 
 WIDE = f"a -> {'ab' * 500}a\nb -> {'ba' * 500}b\n"  # lambda = 1001
@@ -227,10 +254,10 @@ def test_prefix_over_the_limit_refused_before_it_is_built(capsys, argv):
     assert "exceeds the limit of 10000000" in err
 
 
-def test_late_position_series_refusal_is_quick(capsys):
+def test_late_position_series_refusal_is_quick(capsys, monkeypatch):
     # 9 * 10**6 occurrences of b need more than 10**7 letters, which the
-    # doubling scan learns only when it asks for 18 * 10**6; each prefix is
-    # counted before any position is collected
+    # count tables show before any prefix is built
+    counts = _count_facts(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(
         capsys, "series", str(DATA / "fib.sub"),
@@ -238,16 +265,57 @@ def test_late_position_series_refusal_is_quick(capsys):
     )
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
-    assert "prefix of 18000000 letters exceeds the limit of 10000000" in err
+    assert err == ("error: prefix with 9000000 occurrences of 'b' exceeds the "
+                   "limit of 10000000\n")
+    assert counts["prefix"] == counts["_build"] == 0
 
 
 def test_prefix_limit_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", 13)
-    code, out, _ = run(capsys, "expand", str(DATA / "fib.sub"), "--n", "13")
-    assert code == 0 and out == "abaababaabaab\n"
-    code, out, err = run(capsys, "expand", str(DATA / "fib.sub"), "--n", "14")
+    # 600 letters, the certificate bound of the default max period 200
+    monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", 600)
+    fib = substitutions.parse_substitution((DATA / "fib.sub").read_text())
+    code, out, _ = run(capsys, "expand", str(DATA / "fib.sub"), "--n", "600")
+    assert code == 0 and out == fib.apply_power("a", 14)[:600] + "\n"
+    code, out, err = run(capsys, "expand", str(DATA / "fib.sub"), "--n", "601")
     assert code == 2 and out == ""
-    assert "prefix of 14 letters exceeds the limit of 13" in err
+    assert "prefix of 601 letters exceeds the limit of 600" in err
+
+
+def test_periodic_word_of_rare_letters_reports(capsys, tmp_path):
+    # x = (a b**49999)**inf has period 50000 > 200: the 201st a is letter
+    # 10**7, so the span B of a's position verdict is past the limit, and
+    # every verdict is inconclusive (exit 2 when the occurrences were scanned)
+    path = tmp_path / "long.sub"
+    path.write_text(f"a -> a{'b' * 49999}\nb -> a{'b' * 49999}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["aperiodicity"] == {"verdict": "inconclusive", "max_preperiod": 1000,
+                                   "max_period": 200}
+    for verdicts in doc["series"].values():
+        assert {v["kind"] for v in verdicts.values()} == {"inconclusive"}
+
+
+def test_rare_letter_with_span_within_the_limit_keeps_its_position_verdict(
+    capsys, tmp_path
+):
+    # x = (a b**16999)**inf: the span B of a's position verdict is 200 * 17000
+    # = 3.4 * 10**6 letters, whose 3 * B pass the limit but whose 2 * B
+    # searched do not; D = 17000 has a 51000-letter certificate, so a keeps
+    # the Rational position verdict (2, 1) with numerator 17000 X**2
+    path = tmp_path / "long.sub"
+    path.write_text(f"a -> a{'b' * 16999}\nb -> a{'b' * 16999}\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    a = json.loads(out)["series"]["a"]
+    assert a["characteristic"]["kind"] == "inconclusive"
+    assert a["position"] == {
+        "kind": "rational",
+        "form": {"numerator": ["0", "0", "17000"], "period_d": 1, "summatory_power": 1},
+        "witness": {"preperiod": 2, "period": 1},
+    }
 
 
 def test_irrational_letters_are_not_scanned_at_large_bounds(capsys, tmp_path):
@@ -525,11 +593,11 @@ class TestAnalyze:
         unwitnessed = _unwitnessed(name, json.loads(out)["series"])
         assert counts["detect_period"] == k - len(irrational) + unwitnessed
         # fixed-word blocks are built, each (letter, level) once, and sigma**p
-        # (one rule table) once, only if some letter is scanned; the gap
-        # bound (one length recurrence) only for the span of a position search
+        # (one rule table) once, only if some letter is scanned; no length
+        # recurrence runs (positions come from the count tables)
         assert (counts["_build"] > 0) == scanned
         assert len(set(counts["built"])) == len(counts["built"])
-        assert counts["image_lengths"] == (unwitnessed > 0)
+        assert counts["image_lengths"] == 0
         assert counts["MappingProxyType"] == 1
         s = substitutions.parse_substitution((DATA / f"{name}.sub").read_text())
         assert substitutions.Analysis(s).irrational_letters == set(irrational)
@@ -537,14 +605,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("name", ["fib", "xyz", "abab", "thue_morse"])
     def test_positions_built_only_for_witnesses(self, capsys, monkeypatch, name):
         # positions are read once per rational position verdict, to re-check
-        # its certificate, and once per rational-frequency letter without a
-        # characteristic witness, for the span of its period search
+        # its certificate; a rational-frequency letter without a
+        # characteristic witness reads the span of its period search off two
+        # positions of the count tables
         counts = _count_facts(monkeypatch)
         code, out, _ = run(capsys, "analyze", str(DATA / f"{name}.sub"))
         assert out == (GOLDEN / f"{name}.json").read_text()
         series = json.loads(out)["series"]
         rational = sum(v["position"]["kind"] == "rational" for v in series.values())
-        assert counts["_scan_positions"] == rational + _unwitnessed(name, series)
+        assert counts["_scan_positions"] == rational
+        assert counts["position"] == 2 * _unwitnessed(name, series)
 
 
 IRRATIONAL = {"fib": "ab", "xyz": "xz", "abab": "", "thue_morse": ""}  # per corpus file
@@ -561,13 +631,15 @@ def _count_facts(monkeypatch) -> dict:
     """Counters rebound around the fact-deriving functions, in every module
     alias made by `from .x import y` as well; `_build` counts the fixed-word
     blocks joined, and "built" lists their (letter, level)s; `prefix` counts
-    fixed-word prefixes and `MappingProxyType` rule tables."""
+    fixed-word prefixes, `position` occurrence positions and
+    `MappingProxyType` rule tables."""
     counts = {"built": []}
     for owner, attr in ((substitutions, "pf_data"),
                         (substitutions, "characteristic_polynomial"),
                         (substitutions, "is_primitive"),
                         (substitutions.Analysis, "_build"),
                         (substitutions.Analysis, "prefix"),
+                        (substitutions.Analysis, "position"),
                         (substitutions, "MappingProxyType"),
                         (substitutions.Substitution, "image_lengths"),
                         (realroots, "isolate_max_root"),

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -58,6 +59,27 @@ class TestSupertiles:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             supertile_word(41)
+
+    def test_words_match_sigma_powers(self):
+        for n in range(16):
+            assert supertile_word(n) == FIBONACCI.apply_power("a", n)
+            assert supertile_word(n, "B") == FIBONACCI.apply_power("b", n)
+
+    def test_prefix_limit_bounds_the_level(self):
+        # |sigma**33(a)| = 9227465 letters fit in the prefix limit of 10**7;
+        # |sigma**34(a)| = 14930352 do not, and are refused before any is built
+        assert supertile_word(34, "B") == supertile_word(33)
+        assert len(supertile_word(33)) == FIB[34] == 9227465
+        with pytest.raises(TooLargeError) as info:
+            supertile_word(34)
+        assert str(info.value) == "prefix of 14930352 letters exceeds the limit of 10000000"
+        # a far level is refused as soon as both lengths pass the limit, not
+        # after a million steps over Fibonacci-sized integers
+        for which in "AB":
+            start = time.perf_counter()
+            with pytest.raises(TooLargeError, match="exceeds the limit of 10000000"):
+                supertile_word(10**6, which)
+            assert time.perf_counter() - start < 0.1
 
     def test_length_identities(self):
         # the blocks R, S, T of level n are AB, AA, BA of supertile level 3n

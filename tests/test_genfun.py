@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from subgf import genfun
 from subgf.errors import (
     InsufficientDataError,
-    InsufficientOccurrencesError,
     NoGrowingFixedPointError,
     NotPrimitiveError,
     WitnessInvalidError,
@@ -97,38 +96,38 @@ class TestSeries:
             0, 1, 3, 5, 7,
         ]
 
-    def test_position_series_scan_bound(self, fib, fib_seed):
-        with pytest.raises(InsufficientOccurrencesError):
-            position_series(fib, fib_seed, "b", 10, scan_bound=5)
-
     @given(
         st.sampled_from(["fib", "xyz", "abab", "thue_morse"]),
         st.data(),
         st.integers(0, 60),
-        st.one_of(st.none(), st.integers(0, 200)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_position_series_matches_enumerate(
-        self, corpus, name, data, n_terms, bound
-    ):
+    def test_position_series_matches_enumerate(self, corpus, name, data, n_terms):
         s = corpus[name]
         seed = fixed_point_seed(s)
         letter = data.draw(st.sampled_from(s.alphabet))
-        _check_positions(s, seed, letter, n_terms, bound)
+        _check_positions(s, seed, letter, n_terms)
 
-    @pytest.mark.parametrize("letter, n", [("a", 1), ("a", 7), ("b", 1), ("b", 20)])
-    def test_scan_ending_exactly_at_the_bound(self, fib, fib_seed, letter, n):
-        # the n-th occurrence is the last letter the scan may read
-        word = fixed_word_prefix(fib, fib_seed, 200)
-        last = [i for i, ch in enumerate(word) if ch == letter][n - 1]
-        for bound in (last, last + 1, 2 * last + 2):
-            _check_positions(fib, fib_seed, letter, n, bound)
-        with pytest.raises(InsufficientOccurrencesError) as info:
-            position_series(fib, fib_seed, letter, n, scan_bound=last)
-        assert str(info.value) == (
-            f"found only {n - 1} of {n} occurrences of {letter!r} "
-            f"within {last} letters"
-        )
+    @pytest.mark.parametrize("name", ["fib", "xyz", "thue_morse"])
+    def test_position_series_at_orders_zero_and_one(self, corpus, name):
+        s = corpus[name]
+        for letter in s.alphabet:
+            for n_terms in (0, 1):
+                _check_positions(s, fixed_point_seed(s), letter, n_terms)
+
+    @pytest.mark.parametrize("name", ["fib", "xyz"])
+    def test_position_series_across_whole_blocks(self, corpus, name):
+        # the last occurrence read steps over 2**16, the longest block a
+        # prefix appends whole, one occurrence at a time
+        s = corpus[name]
+        seed = fixed_point_seed(s)
+        word = fixed_word_prefix(s, seed, 3 * 2**16)
+        for letter in s.alphabet:
+            hits = [i for i, ch in enumerate(word) if ch == letter]
+            k = sum(h < 2**16 for h in hits)
+            for n_terms in range(k - 2, k + 3):
+                got = position_series(s, seed, letter, n_terms).coefficients
+                assert got == (0, *hits[:n_terms])
 
     @pytest.mark.parametrize("name", ["fib", "xyz"])
     def test_reconstruction_from_positions(self, name, corpus):
@@ -150,24 +149,17 @@ class TestSeries:
             assert tuple(F(c) for c in rebuilt) == ts.coefficients
 
 
-def _check_positions(s, seed, letter, n_terms, bound):
-    """`position_series` against a brute-force `enumerate` over the
-    scan_bound-letter prefix (the default bound holds every occurrence
-    asked for)."""
-    n = gap_bound(s) * (n_terms + 2) if bound is None else bound
-    word = fixed_word_prefix(s, seed, n)
+def _check_positions(s, seed, letter, n_terms):
+    """`position_series` against a brute-force `enumerate` over a prefix of
+    the gap bound times n_terms + 2 letters, which holds every occurrence
+    asked for."""
+    word = seed.start_letter
+    while len(word) < gap_bound(s) * (n_terms + 2):
+        word = s.apply_power(word, seed.power)
     hits = [i for i, ch in enumerate(word) if ch == letter]
-    if bound is None or len(hits) >= n_terms:
-        ts = position_series(s, seed, letter, n_terms, bound)
-        assert list(ts.coefficients) == [0, *hits[:n_terms]]
-        assert all(type(c) is int for c in ts.coefficients)
-    else:
-        with pytest.raises(InsufficientOccurrencesError) as info:
-            position_series(s, seed, letter, n_terms, bound)
-        assert str(info.value) == (
-            f"found only {len(hits)} of {n_terms} occurrences of "
-            f"{letter!r} within {bound} letters"
-        )
+    ts = position_series(s, seed, letter, n_terms)
+    assert list(ts.coefficients) == [0, *hits[:n_terms]]
+    assert all(type(c) is int for c in ts.coefficients)
 
 
 class TestRecursion:
@@ -562,7 +554,7 @@ class TestVerdicts:
         # reads 2 + 2c = 4 gaps, past the 2 1s of those 14 letters
         s = parse_substitution("".join(f"{a}->abcdefg\n" for a in "abcdefg"))
         analysis = Analysis(s, None, (2, 1))
-        assert analysis.need == 12
+        assert [analysis.position("a", n) for n in (1, 2)] == [0, 7]
         lengths = []
 
         def recorded(coeffs, *args, **kwargs):

@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
@@ -21,10 +22,10 @@ from sympy import (
 from subgf.errors import (
     DuplicateRuleError,
     EmptyImageError,
-    InsufficientOccurrencesError,
     NoGrowingFixedPointError,
     NotPrimitiveError,
     RuleSyntaxError,
+    TooLargeError,
     UnknownLetterError,
     WrongAlphabetSizeError,
 )
@@ -50,6 +51,8 @@ from subgf.substitutions import (
     pf_data,
     substitution_matrix,
 )
+
+from test_genfun import primitive_substitutions
 
 
 class TestParser:
@@ -469,14 +472,6 @@ def _brute_force_prefix(s, seed, n):
     return word[:n]
 
 
-def _default_scan_bound(s, n_terms):
-    """The scan bound `position_series` documents: the gap bound times
-    n_terms + 2 for primitive substitutions, else 4 * n_terms + 64."""
-    if len(s.alphabet) >= 2 and is_primitive(substitution_matrix(s)) is not None:
-        return gap_bound(s) * (n_terms + 2)
-    return 4 * n_terms + 64
-
-
 class TestAnalysisPrefix:
     """The one growing prefix of an Analysis against brute-force expansion."""
 
@@ -498,8 +493,9 @@ class TestAnalysisPrefix:
         for s, seed in self.cases(corpus):
             for bounds in ((4, 2), (30, 7)):
                 analysis = Analysis(s, seed, bounds)
-                base = analysis.prefix(analysis.need)
-                assert base == _brute_force_prefix(s, seed, bounds[0] + 10 * bounds[1])
+                n0 = bounds[0] + 10 * bounds[1]
+                base = analysis.prefix(n0)
+                assert base == _brute_force_prefix(s, seed, n0)
                 for n in (0, 1, 17, 3 * len(base) + 9):
                     assert analysis.prefix(n) == _brute_force_prefix(s, seed, n)
 
@@ -518,24 +514,25 @@ class TestAnalysisPrefix:
             assert fixed_word_prefix(s, seed, 200_000) == oracle
 
     def test_positions_match_position_series(self, corpus):
-        raised = 0
+        # with the prefix limit at 2000 letters, n occurrences are found
+        # exactly when the first 2000 letters hold them
+        raised, n, limit = 0, 35, 2000
         for s, seed in self.cases(corpus):
             analysis = Analysis(s, seed, (5, 3))
-            n = analysis.need
-            bound = _default_scan_bound(s, n)
-            word = _brute_force_prefix(s, seed, bound)
+            word = _brute_force_prefix(s, seed, limit)
             for letter in s.alphabet:
                 expected = [i for i, ch in enumerate(word) if ch == letter][:n]
-                if len(expected) < n:
-                    raised += 1
-                    with pytest.raises(InsufficientOccurrencesError):
-                        _scan_positions(analysis, letter, n)
-                    with pytest.raises(InsufficientOccurrencesError):
-                        position_series(s, seed, letter, n)
-                    continue
-                assert _scan_positions(analysis, letter, n).coefficients == (0, *expected)
-                assert position_series(s, seed, letter, n) == _scan_positions(
-                    analysis, letter, n)
+                with mock.patch.object(substitutions, "MAX_EXTENDED_LETTERS", limit):
+                    if len(expected) < n:
+                        raised += 1
+                        with pytest.raises(TooLargeError):
+                            _scan_positions(analysis, letter, n)
+                        with pytest.raises(TooLargeError):
+                            position_series(s, seed, letter, n)
+                        continue
+                    got = _scan_positions(analysis, letter, n)
+                    assert got.coefficients == (0, *expected)
+                    assert position_series(s, seed, letter, n) == got
             # the scans read the one prefix, which is still the fixed word
             assert analysis.prefix(999) == _brute_force_prefix(s, seed, 999)
         assert raised >= 2
@@ -583,6 +580,48 @@ class TestAnalysisPrefix:
             tracemalloc.stop()
         assert got == expected
         assert peak < 4 * n
+
+
+class TestPosition:
+    """`Analysis.position`, read off the count tables, against brute-force
+    expansion."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, corpus, data):
+        # the limit is drawn too: an occurrence at or past it is None, and
+        # so is one that never comes (a->ab, b->bb holds a single a)
+        s, seed = data.draw(st.one_of(
+            primitive_substitutions().map(lambda s: (s, fixed_point_seed(s))),
+            st.sampled_from(TestAnalysisPrefix().cases(corpus))))
+        letter = data.draw(st.sampled_from(s.alphabet))
+        limit = data.draw(st.integers(1, 3000))
+        hits = [i for i, ch in enumerate(_brute_force_prefix(s, seed, limit))
+                if ch == letter]
+        n = data.draw(st.integers(1, len(hits) + 2))
+        analysis = Analysis(s, seed)
+        with mock.patch.object(substitutions, "MAX_EXTENDED_LETTERS", limit):
+            got = analysis.position(letter, n)
+        assert got == (hits[n - 1] if n <= len(hits) else None)
+
+    def test_limit_is_inclusive_and_nothing_is_built(self, fib, fib_seed):
+        # the 4th b of abaababaa|b is letter 9, the last of a 10-letter prefix
+        analysis = Analysis(fib, fib_seed)
+        with mock.patch.object(Analysis, "_build", side_effect=AssertionError), \
+                mock.patch.object(Analysis, "prefix", side_effect=AssertionError):
+            assert [analysis.position("b", n) for n in range(1, 5)] == [1, 4, 6, 9]
+            for limit, expected in ((10, 9), (9, None)):
+                with mock.patch.object(substitutions, "MAX_EXTENDED_LETTERS", limit):
+                    assert analysis.position("b", 4) == expected
+            # the 9 * 10**6-th b is near letter 9 * 10**6 * (phi + 1)
+            assert analysis.position("b", 9 * 10**6) is None
+
+    def test_letter_that_never_recurs(self):
+        analysis = Analysis(parse_substitution("a->ab\nb->bb"), FixedPointSeed(1, "a"))
+        assert analysis.position("a", 1) == 0
+        assert analysis.position("a", 2) is None
+        with pytest.raises(ValueError):
+            analysis.position("a", 0)
 
 
 @st.composite
@@ -644,6 +683,19 @@ class TestPeriodProof:
         s = parse_substitution("a->aab\nb->b")
         with pytest.raises(NotPrimitiveError):
             Analysis(s, FixedPointSeed(1, "a")).has_period("a", 1)
+
+    def test_period_search_held_to_the_limit(self):
+        # x = (a b**9)**inf: a's indicator has period 10, proved over the
+        # pairs ab, bb, ba of 60 letters.  A search of bound B reads 2 * B
+        # letters and the period's certificate 30: past the limit, either
+        # leaves a undecided instead of raising
+        s = parse_substitution("a->abbbbbbbbb\nb->abbbbbbbbb")
+        for limit, bound, expected in (
+            (23, 12, None), (29, 12, None), (60, 12, 10), (79, 40, None), (100, 40, 10)
+        ):
+            with mock.patch.object(substitutions, "MAX_EXTENDED_LETTERS", limit):
+                assert Analysis(s, None, (0, 1)).period("a", bound) == expected
+
 
 
 def _rational_frequency_letters(rules: dict) -> set:
