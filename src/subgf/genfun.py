@@ -55,9 +55,6 @@ class TruncatedSeries:
         cs = tuple(coeffs)
         return cls(len(cs) - 1, cs)
 
-    def coefficient(self, n: int):
-        return self.coefficients[n]
-
 
 def char_prefix_poly(word: str, letter: str) -> ExactPolynomial:
     """Polynomial with a 1 at every position of the letter in the word."""

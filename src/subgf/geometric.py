@@ -1,6 +1,10 @@
 """Geometric realisation of a fixed word: natural tile lengths from the
 dominant left eigenvector, the increasing endpoint sequence, the identity of
-its generating function, and the two-letter classification.
+its generating function, and the two-letter classification.  With M[i][j]
+the count of letter j in sigma(i), the natural lengths g.M = lambda g are the
+letter frequencies up to scale (Queffelec, LNM 1294, ch. 5), not self-similar
+lengths (M g = lambda g) unless M is symmetric: `equal-lengths` of a
+two-letter rule means equal frequencies.
 
 Lengths are exact (rational, or in Q(sqrt(D)) when the minimal polynomial of
 the dominant eigenvalue is quadratic); for higher-degree eigenvalues they are
@@ -53,8 +57,8 @@ def pf_as_quadratic(data: PFData) -> Optional[QuadraticReal]:
 
 @dataclass(frozen=True)
 class LengthAssignment:
-    """Tile length per letter; for natural lengths the vector is a left
-    eigenvector of the substitution matrix for the dominant eigenvalue."""
+    """Tile length per letter; natural lengths are the letter frequencies up
+    to scale, not self-similar lengths (`natural_lengths_of`)."""
 
     by_letter: dict[str, TileLength]
     exact: bool
@@ -109,8 +113,9 @@ def natural_lengths(s: Substitution) -> LengthAssignment:
 
 
 def natural_lengths_of(analysis: Analysis) -> LengthAssignment:
-    """Left eigenvector of the substitution matrix for the dominant
-    eigenvalue, normalized so the last letter's tile has length 1."""
+    """Left eigenvector g.M = lambda g of the substitution matrix for the
+    dominant eigenvalue, normalized so the last letter's tile has length 1:
+    the letter frequencies up to scale, not self-similar lengths."""
     s, matrix = analysis.substitution, analysis.matrix
     data = analysis.pf  # raises NotPrimitiveError
     k = matrix.k

@@ -240,7 +240,6 @@ class PFData:
     pf_lower: Fraction
     pf_upper: Fraction
     is_rational: bool
-    primitivity_witness: int
 
 
 _PF_WIDTH = Fraction(1, 10**12)
@@ -272,8 +271,7 @@ def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
     """Characteristic polynomial, minimal polynomial of the dominant
     eigenvalue, and a rational enclosure of it with width <= 1e-12.
     `_witness` is m's primitivity witness when the caller already has it."""
-    witness = _witness or is_primitive(m)
-    if witness is None:
+    if (_witness or is_primitive(m)) is None:
         raise NotPrimitiveError("matrix is not primitive")
     char = characteristic_polynomial(m)
     roots = RootIsolator(char)
@@ -312,7 +310,6 @@ def pf_data(m: SubstitutionMatrix, _witness: Optional[int] = None) -> PFData:
         pf_lower=lo,
         pf_upper=hi,
         is_rational=min_poly.degree == 1,
-        primitivity_witness=witness,
     )
 
 
@@ -386,16 +383,16 @@ AperiodicityVerdict = Union[AperiodicByIrrationalPF, EventuallyPeriodic, Inconcl
 
 
 DEFAULT_BOUNDS = (1000, 200)  # (max preperiod, max period) of every search
-# The one limit on the letters an Analysis reads: every prefix of the fixed
-# word (`expand --n`, the orders of `series` and `geom`,
-# `fibonacci.supertile_word`) and through an occurrence (`Analysis.position`,
-# so a position series); 3 * max_period, the certificate of a period at the
-# max period (refused in `Analysis.__init__`); in `Analysis.period`, the
-# 2 * bound letters searched and the 3 * D of a found period's certificate
-# (past it, the letter stays undecided); and the sum of block(b) + block(c)
-# over the pairs of a period proof (`Analysis.has_period`).  More raises
-# TooLargeError before any of it is built; a larger proof first reads this
-# many letters, which may refute the period instead.
+# The one limit on the letters an Analysis reads.  A read the user asks for
+# raises TooLargeError past it, before anything is built: a prefix of the
+# fixed word (`expand --n`, the orders of `series` and `geom`,
+# `fibonacci.supertile_word`), a position series through its last occurrence
+# (`Analysis.position`), and the 2 * max_period letters of the search at the
+# max period (refused in `Analysis.__init__`).  A read a decision needs
+# leaves the letter undecided past it instead: the span pos[1 + max_period]
+# (`Analysis.position` is None), the 2 * B letters of the search at a span
+# B (`Analysis.period`), and the sum of block(b) + block(c) over the pairs
+# of a period proof (`Analysis.has_period` is None).
 MAX_EXTENDED_LETTERS = 10**7
 
 
@@ -437,15 +434,16 @@ class Analysis:
     use.  Words come from the blocks sigma**(p*j)(b), p the seed's power,
     each joined at most once from the blocks of its image one level down
     (`_block`); lengths, letter counts and positions come from integer
-    count tables."""
+    count tables.  Past MAX_EXTENDED_LETTERS a read asked for raises, and a
+    read a period decision needs leaves the letter undecided."""
 
     def __init__(self, s: Substitution, seed=None, bounds=DEFAULT_BOUNDS):
         self.substitution, self.bounds, self._seed = s, bounds, seed
         if bounds[0] < 0 or bounds[1] < 1:
             raise ValueError("bounds must satisfy max_preperiod >= 0, max_period >= 1")
-        if 3 * bounds[1] > MAX_EXTENDED_LETTERS:
+        if 2 * bounds[1] > MAX_EXTENDED_LETTERS:
             raise TooLargeError(
-                f"period certificate over {3 * bounds[1]} letters exceeds the "
+                f"period search over {2 * bounds[1]} letters exceeds the "
                 f"limit of {MAX_EXTENDED_LETTERS}"
             )
         self._period: dict[tuple[str, int], Optional[int]] = {}
@@ -606,27 +604,21 @@ class Analysis:
             new = {t[b][-1] + t[c][0] for b, c in new} - pairs
         return pairs
 
-    def has_period(self, letter: str, d: int) -> bool:
-        """Whether the letter's 0/1 indicator over all of x has period d.  A
-        primitive x is uniformly recurrent, and once every block
-        sigma**(p*j)(a) has d letters each (d + 1)-letter factor of x lies in
-        block(b) + block(c) for a pair bc, so checking those pairs is a proof.
-        A proof over more than MAX_EXTENDED_LETTERS letters is refused unless
-        that many letters of x refute d, since a period of x is one of each
-        of its prefixes."""
+    def has_period(self, letter: str, d: int) -> Optional[bool]:
+        """Whether the letter's 0/1 indicator over all of x has period d, or
+        None if the proof would read more than MAX_EXTENDED_LETTERS letters:
+        not decided within the limit.  A primitive x is uniformly recurrent,
+        and once every block sigma**(p*j)(a) has d letters each (d + 1)-letter
+        factor of x lies in block(b) + block(c) for a pair bc, so checking
+        those pairs is a proof."""
         if self.primitivity_witness is None:
             raise NotPrimitiveError("substitution is not primitive")
         level = 0
         while min(self._counts(level).values()) < d:
             level += 1
         sizes = self._counts(level)
-        n = sum(sizes[b] + sizes[c] for b, c in self.pairs)
-        if n > MAX_EXTENDED_LETTERS:
-            ones = self.indicator(letter, MAX_EXTENDED_LETTERS)
-            if ones[d:] != ones[:-d]:
-                return False
-            raise TooLargeError(f"period proof over {n} letters exceeds the "
-                                f"limit of {MAX_EXTENDED_LETTERS}")
+        if sum(sizes[b] + sizes[c] for b, c in self.pairs) > MAX_EXTENDED_LETTERS:
+            return None
         ones = {a: _zero_one(self._block(a, level), letter) for a in sizes}
         return all((u := ones[b] + ones[c])[d:] == u[:-d] for b, c in self.pairs)
 
@@ -660,14 +652,16 @@ class Analysis:
         a uniformly recurrent word is purely periodic, so by Fine and Wilf the
         search returns D itself.  A periodic 0/1 sequence has a rational
         frequency, so the irrational letters are not searched; nor is a bound
-        whose 2 * bound letters pass MAX_EXTENDED_LETTERS, and a D whose
-        3 * D letters (its certificate) would pass it is not kept."""
+        whose 2 * bound letters pass MAX_EXTENDED_LETTERS, and a D whose proof
+        would pass it is not kept.  The proof reads at least 4 * D letters,
+        since its blocks have >= D letters each and a primitive word on k >= 2
+        letters has two 2-letter factors (for k = 1, D = 1), so the 3 * D
+        letters of `genfun`'s certificates fit whenever the proof does."""
         if (letter, bound) not in self._period:
             w = None
             if letter not in self.irrational_letters and 2 * bound <= MAX_EXTENDED_LETTERS:
                 w = detect_period(self.indicator(letter, 2 * bound), 0, bound)
-            proved = (w and 3 * w.period <= MAX_EXTENDED_LETTERS
-                      and self.has_period(letter, w.period))
+            proved = w and self.has_period(letter, w.period)
             self._period[letter, bound] = w.period if proved else None
         return self._period[letter, bound]
 

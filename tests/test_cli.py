@@ -12,6 +12,7 @@ from subgf import genfun, periodicity, quadratic, realroots, substitutions
 from subgf.cli import main
 from subgf.quadratic import QuadraticReal
 from subgf.serialize import canonical_dumps
+from test_substitutions import _random_primitive_rules
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,14 +152,14 @@ def test_period_search_over_the_limit_refused_up_front(capsys, argv):
 
 @pytest.mark.parametrize("command", ["analyze", "period"])
 def test_largest_max_period_under_the_limit(capsys, command):
-    # 3 * 3333333 letters fit in the limit of 10**7: each letter's search
-    # reads 2 * 3333333 letters and finds no period, and the span B of its
-    # position verdict, about 2 * 3333333, is not searched (3 B would pass
-    # the limit); at 3333334 the certificate bound alone is refused
+    # 2 * 5000000 letters fit in the limit of 10**7: each letter's search
+    # reads them and finds no period, and the span B of its position verdict,
+    # about 2 * 5000000, is not searched (2 B would pass the limit); at
+    # 5000001 the search at the max period alone is refused
     argv = [command, str(DATA / "thue_morse.sub"), "--max-preperiod", "2"]
     argv += ["--letter", "a"] if command == "period" else []
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv, "--max-period", "3333333")
+    code, out, err = run(capsys, *argv, "--max-period", "5000000")
     assert time.perf_counter() - start < 2
     assert code == 0 and err == ""
     doc = json.loads(out)
@@ -169,10 +170,10 @@ def test_largest_max_period_under_the_limit(capsys, command):
         for verdicts in doc["series"].values():
             assert {v["kind"] for v in verdicts.values()} == {"inconclusive"}
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv, "--max-period", "3333334")
+    code, out, err = run(capsys, *argv, "--max-period", "5000001")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == ("error: period certificate over 10000002 letters exceeds the "
+    assert err == ("error: period search over 10000002 letters exceeds the "
                    "limit of 10000000\n")
 
 
@@ -209,20 +210,48 @@ def test_period_proof_limit_is_inclusive(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["aperiodicity"]["period"] == 2
     monkeypatch.setattr(substitutions, "MAX_EXTENDED_LETTERS", 4003)
-    with pytest.raises(substitutions.TooLargeError):
-        substitutions.Analysis(wide).has_period("a", 2)
+    assert substitutions.Analysis(wide).has_period("a", 2) is None
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert "period proof over 4004 letters exceeds the limit of 4003" in err
+    assert code == 0 and err == ""
+    assert json.loads(out)["aperiodicity"]["verdict"] == "inconclusive"
 
 
-def test_prefix_refutes_a_period_whose_proof_is_too_large():
+def test_period_whose_proof_is_too_large_stays_undecided(monkeypatch):
     # at (2, 99999) the 2 B letters of b's position search have the spurious
-    # period 262144, whose proof needs 16777216 letters: the first
-    # MAX_EXTENDED_LETTERS letters refute it, so no refusal
+    # period 262144, whose proof needs 16777216 letters: it is not decided,
+    # and no prefix is read to refute it
     analysis = substitutions.Analysis(substitutions.parse_substitution(S7_37), None,
                                       (2, 99999))
-    assert not analysis.has_period("b", 262144)
+    calls, prefix = [], substitutions.Analysis.prefix
+    monkeypatch.setattr(substitutions.Analysis, "prefix",
+                        lambda self, n: calls.append(n) or prefix(self, n))
+    decided = analysis.has_period("b", 262144)
+    assert calls == []
+    assert decided is None
+    span = analysis.position("b", 100000) - analysis.position("b", 1)
+    assert analysis.period("b", span) is None
+
+
+S10_29 = "a -> bbbc\nb -> cbcb\nc -> aabc\n"  # input 29 of `bench/gen.py` seed 10
+
+
+@pytest.mark.parametrize("pre", ["0", "2"])
+def test_refused_period_proof_leaves_the_run_reporting(capsys, tmp_path, pre):
+    # each letter's search over 2 * 3333333 letters finds d = 2097152, whose
+    # proof would read 268435456 letters: every letter stays undecided, and
+    # the run reports instead of exiting 2
+    path = tmp_path / "s10_29.sub"
+    path.write_text(S10_29)
+    argv = [str(path), "--max-preperiod", pre, "--max-period", "3333333"]
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["aperiodicity"]["verdict"] == "inconclusive"
+    for verdicts in doc["series"].values():
+        assert {v["kind"] for v in verdicts.values()} == {"inconclusive"}
+    code, out, err = run(capsys, "period", *argv, "--letter", "a")
+    assert code == 0 and err == ""
+    assert json.loads(out)["witness"] is None
 
 
 @pytest.mark.parametrize("name", ["fib", "xyz", "thue_morse"])
@@ -454,6 +483,25 @@ def test_large_bound_verdicts_pinned(capsys, tmp_path):
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == (
         "c317dd699ca3a121cce52513abf022cd5c5e071a09fa10e7cd11d44b5b82f1aa"
+    )
+
+
+def test_generated_inputs_pinned(capsys, tmp_path):
+    # the sha256 of every exit code and stdout of `analyze` on 300 generated
+    # primitive rules at three bound pairs, recorded before the period proof
+    # left an undecided letter in place of its refusal
+    digest = hashlib.sha256()
+    paths = []
+    for i, rules in enumerate(_random_primitive_rules(random.Random(40), 300)):
+        paths.append(tmp_path / f"r{i}.sub")
+        paths[-1].write_text("".join(f"{a} -> {w}\n" for a, w in rules.items()))
+    for pre, per in (("1000", "200"), ("0", "100000"), ("2", "99999")):
+        for path in paths:
+            code, out, _ = run(capsys, "analyze", str(path), "--max-preperiod", pre,
+                               "--max-period", per)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "fa880cef4f3b8c548ce8a2c3ac3e6088faa2a4ad4e8c22af664de3a61530429d"
     )
 
 

@@ -52,8 +52,9 @@ class TestNaturalLengths:
         lengths = natural_lengths(parse_substitution("a->aa"))
         assert lengths.by_letter == {"a": F(1)}
 
-    def test_left_eigenvector_identity_exact(self, fib, xyz, rst):
-        for s in (fib, xyz, rst):
+    def test_left_eigenvector_identity_exact(self, corpus, rst):
+        # the natural lengths are the frequency direction g.M = lambda g
+        for s in (*corpus.values(), rst):
             matrix = substitution_matrix(s)
             lam = pf_as_quadratic(pf_data(matrix))
             by_letter = natural_lengths(s).by_letter

@@ -684,11 +684,35 @@ class TestPeriodProof:
         with pytest.raises(NotPrimitiveError):
             Analysis(s, FixedPointSeed(1, "a")).has_period("a", 1)
 
+    def test_proof_held_to_the_limit(self, corpus):
+        # has_period is None exactly when its proof, the blocks of the pairs
+        # at the least level whose blocks all have d letters, passes the
+        # limit.  That proof reads at least 4 d letters, so the 3 d letters
+        # of a certificate fit whenever it does
+        for s, seed in self.cases(corpus):
+            analysis = Analysis(s, seed)
+            word = _brute_force_prefix(s, seed, self.N)
+            pairs = _pairs_of(word)
+            indicators = {a: bytes(ch == a for ch in word) for a in s.alphabet}
+            for d in range(1, 41):
+                j = 0
+                while min((sizes := s.image_lengths(seed.power * j)).values()) < d:
+                    j += 1
+                proof = sum(sizes[b] + sizes[c] for b, c in pairs)
+                assert proof >= 4 * d
+                for letter, ones in indicators.items():
+                    with mock.patch.object(substitutions, "MAX_EXTENDED_LETTERS",
+                                           proof - 1):
+                        assert analysis.has_period(letter, d) is None
+                    with mock.patch.object(substitutions, "MAX_EXTENDED_LETTERS",
+                                           proof):
+                        assert analysis.has_period(letter, d) == (ones[d:] == ones[:-d])
+
     def test_period_search_held_to_the_limit(self):
         # x = (a b**9)**inf: a's indicator has period 10, proved over the
         # pairs ab, bb, ba of 60 letters.  A search of bound B reads 2 * B
-        # letters and the period's certificate 30: past the limit, either
-        # leaves a undecided instead of raising
+        # letters and the period's proof 60: past the limit, either leaves
+        # a undecided instead of raising
         s = parse_substitution("a->abbbbbbbbb\nb->abbbbbbbbb")
         for limit, bound, expected in (
             (23, 12, None), (29, 12, None), (60, 12, 10), (79, 40, None), (100, 40, 10)
